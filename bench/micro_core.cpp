@@ -2,6 +2,9 @@
 // engineering companion to the reproduction benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/bgp/route_cache.h"
@@ -68,6 +71,26 @@ void BM_RoutePropagation(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutePropagation)->Unit(benchmark::kMicrosecond);
 
+// One 64-origin compute_routes_batch call over consecutive eyeballs, rotating
+// through them. The Time column is per call; the per_table counter divides it
+// by the 64 tables, so it reads directly against BM_RoutePropagation.
+void BM_RoutePropagationBatch(benchmark::State& state) {
+  const auto& sc = shared_scenario();
+  const auto& eyeballs = sc.internet.eyeballs;
+  std::vector<topo::AsIndex> batch(std::min(bgp::kMaxBatchOrigins, eyeballs.size()));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    for (auto& o : batch) o = eyeballs[i++ % eyeballs.size()];
+    const auto tables = bgp::compute_routes_batch(sc.internet.graph, batch);
+    benchmark::DoNotOptimize(tables.size());
+  }
+  // Tables per second, inverted: seconds per table.
+  state.counters["per_table"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * batch.size()),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RoutePropagationBatch)->Unit(benchmark::kMicrosecond);
+
 // The retired full-scan fixpoint, kept as the golden reference the worklist
 // is pinned against; the gap between this and BM_RoutePropagation is the
 // worklist + CSR win.
@@ -90,7 +113,7 @@ BENCHMARK(BM_RoutePropagationReference)->Unit(benchmark::kMicrosecond);
 void BM_RouteCacheWarm(benchmark::State& state) {
   const auto& sc = shared_scenario();
   const auto origins = sc.internet.eyeballs;
-  sc.internet.graph.edge_index();  // exclude the one-time CSR build
+  (void)sc.internet.graph.edge_index();  // exclude the one-time CSR build
   exec::ThreadPool pool{static_cast<int>(state.range(0))};
   for (auto _ : state) {
     bgp::RouteCache cache{&sc.internet.graph};

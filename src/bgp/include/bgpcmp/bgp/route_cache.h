@@ -41,13 +41,15 @@ class BGPCMP_SINGLE_THREAD RouteCache {
   explicit RouteCache(const AsGraph* graph)
       : graph_(graph), slots_(graph->as_count()), engines_(graph->as_count()) {}
 
-  /// Compute the tables for every distinct uncached origin, serially. Slots
-  /// are keyed by origin index, so warming never moves existing tables.
+  /// Compute the tables for every distinct uncached origin, serially, in
+  /// compute_routes_batch batches of up to 64 origins. Slots are keyed by
+  /// origin index, so warming never moves existing tables.
   BGPCMP_PHASE(warm)
   void warm(std::span<const AsIndex> origins);
 
-  /// Same, but fans the distinct uncached origins out over `pool` via
-  /// parallel_map. Byte-identical to the serial overload at any pool width.
+  /// Same, but fans the batches out over `pool` via parallel_map. Batches
+  /// are cut from the same first-appearance order at every width, so this is
+  /// byte-identical to the serial overload at any pool width.
   BGPCMP_PHASE(warm)
   void warm(std::span<const AsIndex> origins, exec::ThreadPool& pool);
 
@@ -118,6 +120,9 @@ class BGPCMP_SINGLE_THREAD RouteCache {
   /// Origins from `origins` that have no cached table yet, deduplicated,
   /// in first-appearance order.
   [[nodiscard]] std::vector<AsIndex> missing(std::span<const AsIndex> origins) const;
+
+  /// Move `tables` (one per origin of `batch`, same order) into their slots.
+  void install_batch(std::span<const AsIndex> batch, std::vector<RouteTable> tables);
 
   /// The churn engine for `origin`, built on first use (a full converge that
   /// must agree with the warmed slot — golden-pinned in churn_test).

@@ -1,5 +1,9 @@
 #include "bgpcmp/bgp/propagation.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -252,6 +256,129 @@ RouteTable compute_routes_reference(const AsGraph& graph, const OriginSpec& orig
 
 RouteTable compute_routes(const AsGraph& graph, AsIndex origin) {
   return compute_routes(graph, OriginSpec::everywhere(origin));
+}
+
+namespace {
+
+/// One bit per origin of a batch: bit k stands for origins[k].
+using LaneMask = std::uint64_t;
+
+/// State of one compute_routes_batch call. level_[L][x] holds the lanes whose
+/// selected route at AS x has length L; stages 1-3 each append to it in turn.
+class BatchKernel {
+ public:
+  BatchKernel(const AsGraph& graph, std::span<const AsIndex> origins)
+      : graph_(graph),
+        origins_(origins),
+        idx_(graph.edge_index()),
+        n_(graph.as_count()),
+        routed_(n_, 0),
+        cust_(n_, 0),
+        routes_(origins.size(), std::vector<BestRoute>(n_)) {
+    BGPCMP_CHECK_LE(origins.size(), kMaxBatchOrigins,
+                    "route batch wider than its 64-bit lane mask");
+    level_.emplace_back(n_, 0);
+    for (std::size_t lane = 0; lane < origins.size(); ++lane) {
+      const AsIndex o = origins[lane];
+      BGPCMP_CHECK_LT(o, n_, "batch origin AS out of range");
+      BGPCMP_CHECK_EQ(routed_[o], LaneMask{0}, "route batch repeats an origin");
+      const LaneMask bit = LaneMask{1} << lane;
+      // The origin lane is routed from the start, which is what keeps an
+      // origin from learning its own prefix in every stage below.
+      routed_[o] = bit;
+      cust_[o] = bit;
+      level_[0][o] = bit;
+      routes_[lane][o] = BestRoute{RouteClass::Origin, 0, kNoAs, kNoEdge};
+    }
+  }
+
+  std::vector<RouteTable> run() {
+    // Stage 1: customer routes climb up-edges one length at a time.
+    std::size_t top = 0;
+    while (sweep<RouteClass::Customer>(top)) ++top;
+    // Stage 2: one peer hop off a customer route (or the origin). The peer
+    // lanes this adds to a level are not customer lanes, so they are masked
+    // out of that level's sources and peer routes never chain.
+    const std::size_t cust_top = top;
+    for (std::size_t len = 0; len <= cust_top; ++len) {
+      if (sweep<RouteClass::Peer>(len)) top = std::max(top, len + 1);
+    }
+    // Stage 3: every selected route, whatever its class, descends down-edges;
+    // provider routes written at one length are sources at the next.
+    for (std::size_t len = 0; len <= top; ++len) {
+      if (sweep<RouteClass::Provider>(len)) top = std::max(top, len + 1);
+    }
+    std::vector<RouteTable> out;
+    out.reserve(origins_.size());
+    for (std::size_t lane = 0; lane < origins_.size(); ++lane) {
+      out.emplace_back(&graph_, origins_[lane], std::move(routes_[lane]));
+    }
+    return out;
+  }
+
+ private:
+  /// Relax length `len` across the edge group stage `cls` uses, visiting
+  /// source ASes in ASN order: each source lane still unrouted at the far end
+  /// takes (len + 1, x, e) there as a `cls` route. Returns whether any lane
+  /// was written.
+  template <RouteClass cls>
+  bool sweep(std::size_t len) {
+    // BestRoute::length is uint16, as in detail::select_one.
+    BGPCMP_CHECK_LE(len + 1, std::numeric_limits<std::uint16_t>::max(),
+                    "AS-path length overflows BestRoute::length (check prepends)");
+    if (level_.size() <= len + 1) level_.emplace_back(n_, 0);
+    const LaneMask* cur = level_[len].data();
+    LaneMask* next = level_[len + 1].data();
+    const auto length = static_cast<std::uint16_t>(len + 1);
+    bool wrote = false;
+    for (const AsIndex x : idx_.by_asn()) {
+      LaneMask src = cur[x];
+      if constexpr (cls == RouteClass::Peer) src &= cust_[x];
+      if (src == 0) continue;
+      std::span<const EdgeId> edges;
+      std::span<const AsIndex> far;
+      if constexpr (cls == RouteClass::Customer) {
+        edges = idx_.up_edges(x);
+        far = idx_.up_far(x);
+      } else if constexpr (cls == RouteClass::Peer) {
+        edges = idx_.peer_edges(x);
+        far = idx_.peer_far(x);
+      } else {
+        edges = idx_.down_edges(x);
+        far = idx_.down_far(x);
+      }
+      for (std::size_t k = 0; k < far.size(); ++k) {
+        const AsIndex y = far[k];
+        const LaneMask fresh = src & ~routed_[y];
+        if (fresh == 0) continue;
+        routed_[y] |= fresh;
+        next[y] |= fresh;
+        if constexpr (cls == RouteClass::Customer) cust_[y] |= fresh;
+        const BestRoute route{cls, length, x, edges[k]};
+        for (LaneMask m = fresh; m != 0; m &= m - 1) {
+          routes_[static_cast<std::size_t>(std::countr_zero(m))][y] = route;
+        }
+        wrote = true;
+      }
+    }
+    return wrote;
+  }
+
+  const AsGraph& graph_;
+  const std::span<const AsIndex> origins_;
+  const topo::EdgeIndex& idx_;
+  const std::size_t n_;
+  std::vector<LaneMask> routed_;  ///< lanes with a selected route at each AS
+  std::vector<LaneMask> cust_;    ///< lanes whose route there is customer or origin
+  std::vector<std::vector<LaneMask>> level_;
+  std::vector<std::vector<BestRoute>> routes_;  ///< per lane, per AS
+};
+
+}  // namespace
+
+std::vector<RouteTable> compute_routes_batch(const AsGraph& graph,
+                                             std::span<const AsIndex> origins) {
+  return BatchKernel{graph, origins}.run();
 }
 
 }  // namespace bgpcmp::bgp

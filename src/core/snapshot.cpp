@@ -232,6 +232,19 @@ ServingState load_serving_snapshot(const std::string& path,
       route.length = r.u16();
       route.next_hop = r.u32();
       route.via_edge = r.u32();
+      // RouteTable::path() indexes by next_hop unchecked, so a hostile file
+      // must fail here, not crash there. Only unreachable and origin rows
+      // have no next hop and no edge.
+      const bool terminal =
+          route.cls == bgp::RouteClass::None || route.cls == bgp::RouteClass::Origin;
+      if (!terminal || route.next_hop != topo::kNoAs) {
+        BGPCMP_CHECK_LT(route.next_hop, graph->as_count(),
+                        "snapshot route next hop out of range");
+      }
+      if (!terminal || route.via_edge != topo::kNoEdge) {
+        BGPCMP_CHECK_LT(route.via_edge, graph->edge_count(),
+                        "snapshot route edge out of range");
+      }
       routes.push_back(route);
     }
     state.warmed.push_back(origin);

@@ -40,6 +40,7 @@ EdgeIndex::EdgeIndex(const AsGraph& graph) {
   offsets_[n] = cursor;
   incident_.resize(cursor);
   grouped_.resize(cursor);
+  far_.resize(cursor);
   for (AsIndex i = 0; i < n; ++i) {
     const auto& edges = graph.node(i).edges;
     std::uint32_t at = offsets_[i];
@@ -50,6 +51,7 @@ EdgeIndex::EdgeIndex(const AsGraph& graph) {
     for (const EdgeId e : edges) {
       const AsEdge& edge = graph.edge(e);
       if (edge.rel == Relationship::ProviderCustomer && edge.b == i) {
+        far_[at] = edge.a;
         grouped_[at++] = e;
       }
     }
@@ -57,15 +59,26 @@ EdgeIndex::EdgeIndex(const AsGraph& graph) {
     for (const EdgeId e : edges) {
       const AsEdge& edge = graph.edge(e);
       if (edge.rel == Relationship::ProviderCustomer && edge.a == i) {
+        far_[at] = edge.b;
         grouped_[at++] = e;
       }
     }
     down_end_[i] = at;
     for (const EdgeId e : edges) {
-      if (graph.edge(e).rel == Relationship::PeerPeer) grouped_[at++] = e;
+      const AsEdge& edge = graph.edge(e);
+      if (edge.rel == Relationship::PeerPeer) {
+        far_[at] = edge.a == i ? edge.b : edge.a;
+        grouped_[at++] = e;
+      }
     }
     BGPCMP_CHECK_EQ(at, offsets_[i + 1], "incident edges must classify exactly");
   }
+  by_asn_.resize(n);
+  for (AsIndex i = 0; i < n; ++i) by_asn_[i] = i;
+  // Stable, so duplicate ASNs (adopt() does not reject them) keep index order.
+  std::stable_sort(by_asn_.begin(), by_asn_.end(), [&](AsIndex x, AsIndex y) {
+    return graph.node(x).asn < graph.node(y).asn;
+  });
 }
 
 const EdgeIndex& AsGraph::edge_index() const {

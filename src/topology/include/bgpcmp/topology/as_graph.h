@@ -107,8 +107,11 @@ class AsGraph;
 /// the same order as `AsGraph::node(i).edges` (so swapping it in for
 /// `neighbors()` cannot reorder any downstream output), while the grouped
 /// arrays split each row into up/down/peer sub-ranges so route propagation
-/// relaxes exactly the edge class a worklist step needs. Self-contained:
-/// valid for as long as the topology it was built from is unchanged.
+/// relaxes exactly the edge class a worklist step needs. Each grouped entry
+/// has its far endpoint stored alongside (`up_far` and friends, same order),
+/// and `by_asn()` lists every AS in ASN order, so the multi-source route
+/// kernel never touches `AsEdge` or `AsNode`. Self-contained: valid for as
+/// long as the topology it was built from is unchanged.
 class EdgeIndex {
  public:
   explicit EdgeIndex(const AsGraph& graph);
@@ -130,6 +133,21 @@ class EdgeIndex {
     return {grouped_.data() + down_end_[i], grouped_.data() + offsets_[i + 1]};
   }
 
+  /// The provider at the far end of each `up_edges(i)` entry, same order.
+  [[nodiscard]] std::span<const AsIndex> up_far(AsIndex i) const {
+    return {far_.data() + offsets_[i], far_.data() + up_end_[i]};
+  }
+  /// The customer at the far end of each `down_edges(i)` entry, same order.
+  [[nodiscard]] std::span<const AsIndex> down_far(AsIndex i) const {
+    return {far_.data() + up_end_[i], far_.data() + down_end_[i]};
+  }
+  /// The peer at the far end of each `peer_edges(i)` entry, same order.
+  [[nodiscard]] std::span<const AsIndex> peer_far(AsIndex i) const {
+    return {far_.data() + down_end_[i], far_.data() + offsets_[i + 1]};
+  }
+  /// Every AS index, sorted by (ASN, index).
+  [[nodiscard]] std::span<const AsIndex> by_asn() const { return by_asn_; }
+
   [[nodiscard]] std::size_t as_count() const { return offsets_.size() - 1; }
 
  private:
@@ -138,6 +156,8 @@ class EdgeIndex {
   std::vector<std::uint32_t> down_end_;  ///< absolute end of each row's down group
   std::vector<EdgeId> incident_;         ///< per AS, edge-insertion order
   std::vector<EdgeId> grouped_;          ///< per AS: [up | down | peer]
+  std::vector<AsIndex> far_;             ///< far endpoint of each grouped_ entry
+  std::vector<AsIndex> by_asn_;          ///< AS indices in (ASN, index) order
 };
 
 class AsGraph {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bgpcmp/bgp/validate.h"
+#include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/rng.h"
 #include "bgpcmp/topology/topology_gen.h"
 
 namespace bgpcmp::bgp {
@@ -28,6 +32,53 @@ void expect_identical(const RouteTable& got, const RouteTable& want,
     EXPECT_EQ(got.at(i).next_hop, want.at(i).next_hop) << g.node(i).name;
     EXPECT_EQ(got.at(i).via_edge, want.at(i).via_edge) << g.node(i).name;
   }
+}
+
+/// compute_routes_batch over `origins` in batches of `width`, each table
+/// pinned to compute_routes_reference.
+void expect_batches_match_reference(const AsGraph& g,
+                                    const std::vector<topo::AsIndex>& origins,
+                                    std::size_t width = kMaxBatchOrigins) {
+  for (std::size_t first = 0; first < origins.size(); first += width) {
+    const std::span<const topo::AsIndex> batch =
+        std::span{origins}.subspan(first, std::min(width, origins.size() - first));
+    const std::vector<RouteTable> tables = compute_routes_batch(g, batch);
+    ASSERT_EQ(tables.size(), batch.size());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      EXPECT_EQ(tables[k].origin(), batch[k]);
+      expect_identical(tables[k],
+                       compute_routes_reference(g, OriginSpec::everywhere(batch[k])), g);
+    }
+  }
+}
+
+std::vector<topo::AsIndex> all_origins(const AsGraph& g) {
+  std::vector<topo::AsIndex> out(g.as_count());
+  for (topo::AsIndex i = 0; i < out.size(); ++i) out[i] = i;
+  return out;
+}
+
+/// A copy of `g` with the edges in `drop` physically removed: AS indices
+/// stay, later edge ids shift down. The batch kernel announces everywhere,
+/// so this is how it sees a suppressed session.
+AsGraph without_edges(const AsGraph& g, std::initializer_list<topo::EdgeId> drop) {
+  AsGraph out;
+  for (const topo::AsNode& node : g.nodes()) {
+    out.add_as(node.asn, node.cls, node.name, node.presence, node.hub,
+               node.backbone_inflation);
+  }
+  for (topo::EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (std::find(drop.begin(), drop.end(), e) != drop.end()) continue;
+    const topo::AsEdge& edge = g.edge(e);
+    const topo::EdgeId copy = edge.rel == topo::Relationship::ProviderCustomer
+                                  ? out.connect_transit(edge.a, edge.b)
+                                  : out.connect_peering(edge.a, edge.b);
+    for (const topo::LinkId l : edge.links) {
+      const topo::InterconnectLink& link = g.link(l);
+      out.add_link(copy, link.city, link.kind, link.capacity);
+    }
+  }
+  return out;
 }
 
 /// Hand-built textbook topology:
@@ -248,6 +299,126 @@ TEST_F(PropagationTest, ConcurrentComputeOnColdGraphIsRaceFree) {
   for (const auto& slot : slots) expect_identical(*slot, want, g_);
 }
 
+TEST_F(PropagationTest, BatchMatchesReferenceForEveryOrigin) {
+  expect_batches_match_reference(g_, all_origins(g_));
+}
+
+TEST_F(PropagationTest, BatchTiebreakPrefersLowerAsn) {
+  // TiebreakPrefersLowerAsn with the EBa--EBb session removed from the graph
+  // instead of suppressed. It is the last edge added, so every edge id is
+  // unchanged and the batch table must equal the suppressed-spec table.
+  const AsGraph cut = without_edges(g_, {e_eba_ebb_});
+  const std::vector<topo::AsIndex> origins{eba_};
+  const std::vector<RouteTable> tables = compute_routes_batch(cut, origins);
+  ASSERT_EQ(tables.size(), 1u);
+  ASSERT_EQ(tables[0].at(ebb_).cls, RouteClass::Provider);
+  EXPECT_EQ(tables[0].at(ebb_).next_hop, trb_);
+  OriginSpec spec = OriginSpec::everywhere(eba_);
+  spec.suppress.insert(e_eba_ebb_);
+  expect_identical(tables[0], compute_routes(g_, spec), g_);
+  expect_batches_match_reference(cut, all_origins(cut));
+}
+
+TEST_F(PropagationTest, BatchUnreachableWhenFullyCut) {
+  // UnreachableWhenFullyCut with EBc's only session removed from the graph.
+  const auto edge = g_.find_edge(trc_, ebc_);
+  ASSERT_TRUE(edge);
+  const AsGraph cut = without_edges(g_, {*edge});
+  const std::vector<topo::AsIndex> origins{ebc_, eba_};
+  const std::vector<RouteTable> tables = compute_routes_batch(cut, origins);
+  for (topo::AsIndex i = 0; i < cut.as_count(); ++i) {
+    if (i == ebc_) continue;
+    EXPECT_FALSE(tables[0].reachable(i)) << cut.node(i).name;
+  }
+  EXPECT_FALSE(tables[1].reachable(ebc_));
+  EXPECT_EQ(tables[0].at(ebc_).cls, RouteClass::Origin);
+  expect_batches_match_reference(cut, all_origins(cut));
+}
+
+TEST_F(PropagationTest, BatchRejectsMoreThan64Origins) {
+  topo::InternetConfig cfg;
+  cfg.seed = 3;
+  const auto net = topo::build_internet(cfg);
+  std::vector<topo::AsIndex> origins = all_origins(net.graph);
+  origins.resize(kMaxBatchOrigins + 1);
+  ScopedCheckThrows guard;
+  try {
+    (void)compute_routes_batch(net.graph, origins);
+    FAIL() << "a 65-origin batch was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string{e.what()}.find("route batch wider than its 64-bit lane mask"),
+              std::string::npos)
+        << e.what();
+  }
+  origins.pop_back();
+  EXPECT_EQ(compute_routes_batch(net.graph, origins).size(), kMaxBatchOrigins);
+}
+
+TEST_F(PropagationTest, BatchRejectsARepeatedOrigin) {
+  const std::vector<topo::AsIndex> origins{eba_, ebb_, eba_};
+  ScopedCheckThrows guard;
+  try {
+    (void)compute_routes_batch(g_, origins);
+    FAIL() << "a batch repeating an origin was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string{e.what()}.find("route batch repeats an origin"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PropagationBatch, EmptyBatchYieldsNoTables) {
+  AsGraph g;
+  g.add_as(Asn{1}, AsClass::Stub, "only", {0});
+  EXPECT_TRUE(compute_routes_batch(g, {}).empty());
+}
+
+TEST(PropagationBatch, TiesBreakOnAsnNotOnIndex) {
+  // ASNs fall as the AS index rises, unlike every generated world, so a
+  // kernel that broke ties in index order would pick the other neighbor.
+  //
+  //         T(970)       X(960) peers with A and B
+  //        /     |
+  //     A(990)  B(980)   both providers of O and of C
+  //        |   / |
+  //        O(1000)  C(950)     D(940): customer of T and of X
+  AsGraph g;
+  const auto as = [&](std::uint32_t asn, const char* name) {
+    return g.add_as(Asn{asn}, AsClass::Transit, name, {0});
+  };
+  const auto o = as(1000, "O");
+  const auto a = as(990, "A");
+  const auto b = as(980, "B");
+  const auto t = as(970, "T");
+  const auto x = as(960, "X");
+  const auto c = as(950, "C");
+  const auto d = as(940, "D");
+  g.connect_transit(a, o);
+  g.connect_transit(b, o);
+  g.connect_transit(t, a);
+  g.connect_transit(t, b);
+  g.connect_peering(x, a);
+  g.connect_peering(x, b);
+  g.connect_transit(a, c);
+  g.connect_transit(b, c);
+  g.connect_transit(t, d);
+  g.connect_transit(x, d);
+
+  const std::vector<topo::AsIndex> origins{o};
+  const RouteTable table = compute_routes_batch(g, origins).front();
+  EXPECT_EQ(table.at(t).cls, RouteClass::Customer);
+  EXPECT_EQ(table.at(t).next_hop, b);  // customer tie: B (980) over A (990)
+  EXPECT_EQ(table.at(x).cls, RouteClass::Peer);
+  EXPECT_EQ(table.at(x).next_hop, b);  // peer tie
+  EXPECT_EQ(table.at(c).cls, RouteClass::Provider);
+  EXPECT_EQ(table.at(c).next_hop, b);  // provider tie
+  EXPECT_EQ(table.at(d).cls, RouteClass::Provider);
+  EXPECT_EQ(table.at(d).length, 3);
+  EXPECT_EQ(table.at(d).next_hop, x);  // a peer-routed X (960) beats T (970)
+  expect_batches_match_reference(g, all_origins(g));
+  expect_batches_match_reference(g, all_origins(g), 1);
+}
+
 /// Property suite over generated Internets: valley-freeness and consistency
 /// hold for every origin in every seed.
 class PropagationProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -289,8 +460,67 @@ TEST_P(PropagationProperty, WorklistMatchesReferenceGolden) {
   }
 }
 
+TEST_P(PropagationProperty, BatchMatchesReferenceGolden) {
+  topo::InternetConfig cfg;
+  cfg.seed = GetParam();
+  cfg.tier1_count = 5;
+  cfg.transit_count = 14;
+  cfg.eyeball_count = 30;
+  cfg.stub_count = 15;
+  const auto net = topo::build_internet(cfg);
+  expect_batches_match_reference(net.graph, all_origins(net.graph));
+}
+
+TEST_P(PropagationProperty, BatchWidthAndLaneOrderDoNotMatter) {
+  topo::InternetConfig cfg;
+  cfg.seed = GetParam();
+  const auto net = topo::build_internet(cfg);
+  std::vector<topo::AsIndex> origins = all_origins(net.graph);
+  origins.resize(std::min<std::size_t>(origins.size(), 130));
+  std::vector<RouteTable> want;
+  for (const topo::AsIndex o : origins) want.push_back(compute_routes(net.graph, o));
+  // A seeded shuffle of the same origins: lanes land in different bits.
+  std::vector<topo::AsIndex> permuted = origins;
+  Rng rng{GetParam()};
+  for (std::size_t i = permuted.size(); i > 1; --i) {
+    std::swap(permuted[i - 1],
+              permuted[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  for (const std::vector<topo::AsIndex>* order : {&origins, &permuted}) {
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{63},
+                                    std::size_t{64}}) {
+      for (std::size_t first = 0; first < order->size(); first += width) {
+        const std::span<const topo::AsIndex> batch = std::span{*order}.subspan(
+            first, std::min(width, order->size() - first));
+        const std::vector<RouteTable> got = compute_routes_batch(net.graph, batch);
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+          expect_identical(got[k], want[batch[k]], net.graph);
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PropagationProperty,
                          ::testing::Values(1u, 7u, 42u, 2026u, 31337u));
+
+TEST(PropagationBatch, MatchesReferenceOnA10xWorld) {
+  // 1,024 origins of a 10x world (3,680 ASes): 16 full batches, strided so
+  // every AS class and depth is sampled.
+  topo::InternetConfig cfg;
+  cfg.seed = 10;
+  cfg.tier1_count *= 10;
+  cfg.transit_count *= 10;
+  cfg.eyeball_count *= 10;
+  cfg.stub_count *= 10;
+  const auto net = topo::build_internet(cfg);
+  std::vector<topo::AsIndex> origins;
+  for (topo::AsIndex i = 0; origins.size() < 1024; i = (i + 7) % net.graph.as_count()) {
+    origins.push_back(i);
+  }
+  expect_batches_match_reference(net.graph, origins);
+}
 
 }  // namespace
 }  // namespace bgpcmp::bgp

@@ -99,6 +99,43 @@ TEST(RouteCache, ParallelWarmIdenticalToSerialAtAnyWidth) {
   }
 }
 
+TEST(RouteCache, BatchedWarmMatchesDirectAcrossBatchBoundaries) {
+  // 130 requests for 120 distinct origins, two of them cached before the
+  // call: the 118 missing ones split into a 64-origin batch and a 54-origin
+  // one, and the repeated run distinct[60..67] straddles that boundary.
+  topo::InternetConfig cfg;
+  cfg.seed = 9;
+  const auto net = topo::build_internet(cfg);
+  std::vector<topo::AsIndex> distinct;
+  for (topo::AsIndex i = 0; distinct.size() < 120; i += 3) distinct.push_back(i);
+  const std::vector<topo::AsIndex> prewarm{distinct[0], distinct[119]};
+  std::vector<topo::AsIndex> origins{distinct.begin(), distinct.begin() + 64};
+  origins.insert(origins.end(), distinct.begin() + 60, distinct.begin() + 68);
+  origins.insert(origins.end(), distinct.begin() + 64, distinct.end());
+  origins.push_back(distinct[1]);
+  origins.push_back(distinct[100]);
+  ASSERT_EQ(origins.size(), 130u);
+
+  const auto check = [&](RouteCache& cache) {
+    EXPECT_EQ(cache.size(), distinct.size());
+    for (const auto o : distinct) {
+      ASSERT_NE(cache.find(o), nullptr) << o;
+      expect_identical(*cache.find(o), compute_routes(net.graph, o));
+    }
+  };
+  RouteCache serial{&net.graph};
+  serial.warm(prewarm);
+  serial.warm(origins);
+  check(serial);
+  for (const int width : {1, 3, 8}) {
+    exec::ThreadPool pool{width};
+    RouteCache parallel{&net.graph};
+    parallel.warm(prewarm, pool);
+    parallel.warm(origins, pool);
+    check(parallel);
+  }
+}
+
 TEST(RouteCache, WarmedTablesReadableFromConcurrentThreads) {
   const auto net = small_internet(7);
   std::vector<topo::AsIndex> origins{net.eyeballs.begin(), net.eyeballs.end()};

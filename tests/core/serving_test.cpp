@@ -130,6 +130,68 @@ TEST(ServingSnapshot, SavedBytesAreDeterministic) {
   EXPECT_EQ(bytes_a, bytes_b);
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Overwrite the little-endian integer of `width` bytes at `off`.
+void patch_le(std::string& bytes, std::size_t off, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[off + static_cast<std::size_t>(i)] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Save a serving snapshot, set `field` (0: next_hop, 1: via_edge) of the
+/// last transit-learned row of its last table to `value`, and re-seal the
+/// payload hash (header: payload_hash u64 @40), so the load gets past the
+/// integrity gate and into the table decoder.
+void corrupt_last_route(const std::string& path, int field, std::uint32_t value) {
+  ServingWorld::build(small_config(), small_serving())->save(path);
+  std::string bytes = file_bytes(path);
+  // Tables close the payload; each row is cls u8, length u16, next_hop u32,
+  // via_edge u32.
+  constexpr std::size_t kRow = 11;
+  std::size_t row = bytes.size() - kRow;
+  while (static_cast<bgp::RouteClass>(bytes[row]) == bgp::RouteClass::None ||
+         static_cast<bgp::RouteClass>(bytes[row]) == bgp::RouteClass::Origin) {
+    row -= kRow;
+  }
+  patch_le(bytes, row + 3 + 4 * static_cast<std::size_t>(field), value, 4);
+  patch_le(bytes, 40, topo::snapshot_hash(bytes.substr(topo::kSnapshotHeaderSize)), 8);
+  write_bytes(path, bytes);
+}
+
+void expect_load_fails_with(const std::string& path, const std::string& message) {
+  ScopedCheckThrows guard;
+  try {
+    (void)ServingWorld::load(path, small_config());
+    FAIL() << "a corrupted route table was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string{e.what()}.find(message), std::string::npos) << e.what();
+  }
+}
+
+TEST(ServingSnapshot, LoadRejectsAnOutOfRangeNextHop) {
+  const auto path = tmp_path("serving_bad_next_hop.snap");
+  corrupt_last_route(path, 0, 0x7fffffffu);
+  expect_load_fails_with(path, "snapshot route next hop out of range");
+  // kNoAs is the unreachable marker, not a valid hop on a transit-learned row.
+  corrupt_last_route(path, 0, topo::kNoAs);
+  expect_load_fails_with(path, "snapshot route next hop out of range");
+}
+
+TEST(ServingSnapshot, LoadRejectsAnOutOfRangeEdge) {
+  const auto path = tmp_path("serving_bad_edge.snap");
+  corrupt_last_route(path, 1, topo::kNoEdge);
+  expect_load_fails_with(path, "snapshot route edge out of range");
+}
+
 // Every config section must flow into the fingerprint, else a snapshot taken
 // under one config could silently serve another (snapshot.h names this test).
 TEST(ServingSnapshotTest, FingerprintCoversEveryConfigSection) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace bgpcmp {
 namespace {
 
@@ -20,6 +23,12 @@ TEST(Ipv4Address, ParsesExtremes) {
 struct MalformedCase {
   const char* text;
 };
+
+// Print the input text, not the pointer bytes, so the discovered test names
+// are the same on every build and every run.
+void PrintTo(const MalformedCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string{c.text});
+}
 
 class MalformedAddress : public ::testing::TestWithParam<MalformedCase> {};
 
