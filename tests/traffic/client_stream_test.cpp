@@ -68,17 +68,24 @@ std::uint64_t streamed_digest(const topo::Internet& net, const ClientBaseConfig&
   return core::fnv1a64(bytes);
 }
 
+// Golden digests of every client prefix and its popularity at the default
+// configs, recorded when ClientBase/DemandModel still had their own draw
+// loops. Both the eager objects and every chunking of the stream must keep
+// reproducing them.
+constexpr std::uint64_t kClientDigest1x = 0x4d3eaf0a7825a9b9ULL;
+constexpr std::uint64_t kClientDigest4x = 0x126703f772a9acc1ULL;
+
 TEST(ClientStream, ByteIdenticalToEagerAt1x) {
   const auto net = scaled_net(1);
   const ClientBaseConfig ccfg;
   const DemandConfig dcfg;
   const auto clients = ClientBase::generate(net, ccfg);
   const DemandModel demand{&clients, net.cities, dcfg};
-  const std::uint64_t eager = eager_digest(clients, demand);
+  EXPECT_EQ(eager_digest(clients, demand), kClientDigest1x);
   // Several chunk sizes, including one so large the stream is a single chunk
   // and one so small every origin is its own chunk.
   for (const std::size_t chunk_origins : {1ul, 7ul, 64ul, 100000ul}) {
-    EXPECT_EQ(streamed_digest(net, ccfg, dcfg, chunk_origins), eager)
+    EXPECT_EQ(streamed_digest(net, ccfg, dcfg, chunk_origins), kClientDigest1x)
         << "chunk_origins=" << chunk_origins;
   }
 }
@@ -89,7 +96,8 @@ TEST(ClientStream, ByteIdenticalToEagerAt4x) {
   const DemandConfig dcfg;
   const auto clients = ClientBase::generate(net, ccfg);
   const DemandModel demand{&clients, net.cities, dcfg};
-  EXPECT_EQ(streamed_digest(net, ccfg, dcfg, 256), eager_digest(clients, demand));
+  EXPECT_EQ(eager_digest(clients, demand), kClientDigest4x);
+  EXPECT_EQ(streamed_digest(net, ccfg, dcfg, 256), kClientDigest4x);
 }
 
 TEST(ClientStream, TotalsMatchEagerCount) {
@@ -182,14 +190,19 @@ TEST(DemandStream, StreamedVolumeMatchesEagerModel) {
   const ClientChunk chunk = stream.chunk(0);
   const auto popularity = cursor.next(chunk);
   const topo::CityDb& db = net.city_db();
+  std::string bytes;
   for (const double h : {0.25, 7.5, 13.0, 22.75}) {
     const SimTime t = SimTime::hours(h);
     for (std::size_t i = 0; i < chunk.prefixes.size(); ++i) {
       const double lon = db.at(chunk.prefixes[i].city).location.lon_deg;
-      EXPECT_EQ(diurnal_volume(dcfg, popularity[i], lon, t).value(),
-                demand.volume(chunk.id(i), t).value());
+      const double streamed = diurnal_volume(dcfg, popularity[i], lon, t).value();
+      EXPECT_EQ(streamed, demand.volume(chunk.id(i), t).value());
+      append_raw(bytes, &streamed, sizeof streamed);
     }
   }
+  // Golden digest of those volumes, recorded from the eager model's own
+  // popularity draws.
+  EXPECT_EQ(core::fnv1a64(bytes), 0xecfdf86bc2545046ULL);
 }
 
 }  // namespace
