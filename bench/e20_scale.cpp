@@ -33,7 +33,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,7 +43,6 @@
 #include "bgpcmp/core/study_pop.h"
 #include "bgpcmp/topology/topology_gen.h"
 #include "bgpcmp/topology/world_snapshot.h"
-#include "bgpcmp/traffic/client_stream.h"
 #include "../tools/shard_util.h"
 #include "rss_probe.h"
 
@@ -174,34 +172,15 @@ void BM_ShardedRun(benchmark::State& state) {
   const auto scale = state.range(0);
   const auto windows = core::study_windows(bench_study().study);
   for (auto _ : state) {
-    std::vector<pid_t> pids;
-    std::vector<std::string> outs;
-    for (int w = 0; w < kShards; ++w) {
-      outs.push_back(tools::worker_out_path("e20", w));
-      pids.push_back(tools::spawn_worker(
-          {tools::self_exe(), "--scale-worker", std::to_string(w),
-           "--scale-shards", std::to_string(kShards), "--scale",
-           std::to_string(scale), "--scale-out", outs.back()}));
-    }
-    if (!tools::wait_all(pids)) {
+    const auto texts = tools::run_workers(
+        {"e20_scale", "--scale-shards", std::to_string(kShards), "--scale",
+         std::to_string(scale)},
+        kShards, "e20", "--scale-worker", "--scale-out");
+    if (!texts) {
       state.SkipWithError("shard worker failed");
       return;
     }
-    std::string wire;
-    for (const auto& path : outs) {
-      std::string text;
-      if (!tools::read_file(path, &text)) {
-        state.SkipWithError("missing worker output");
-        return;
-      }
-      wire += text;
-      std::remove(path.c_str());
-    }
-    auto chunks = core::decode_scale_chunks(wire);
-    std::uint32_t chunk_count = 0;
-    for (const auto& c : chunks) chunk_count = std::max(chunk_count, c.chunk + 1);
-    const auto merged =
-        core::merge_scale_chunks(std::move(chunks), chunk_count, windows);
+    const auto merged = core::merge_scale_shards(*texts, windows);
     benchmark::DoNotOptimize(merged.fingerprint());
   }
   benchutil::report_peak_rss(state);
@@ -235,26 +214,9 @@ int run_scale_worker(int argc, char** argv) {
     return 2;
   }
   const auto world = core::ScaleWorld::make(scaled_config(scale));
-  const auto cfg = bench_study();
-  const traffic::ClientStream stream{&world->internet, world->config.clients,
-                                     cfg.chunk_origins};
-  const auto windows = core::study_windows(cfg.study);
-  const auto range = core::shard_range(stream.chunk_count(), shards, worker);
-  std::ofstream out{out_path, std::ios::binary};
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  if (!range.empty()) {
-    traffic::DemandStream cursor{world->config.demand};
-    cursor.skip(stream.chunk_prefix_range(range.begin).first);
-    for (std::size_t c = range.begin; c < range.end; ++c) {
-      out << core::encode_scale_chunk(
-          core::run_scale_chunk(*world, cfg, windows, stream, cursor, c));
-    }
-  }
-  out.flush();
-  return out ? 0 : 2;
+  return tools::write_worker_output(out_path, [&](std::ostream& out) {
+    core::run_scale_shard(*world, bench_study(), shards, worker, out);
+  });
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// The per-<PoP, prefix> unit of Study 1, factored out of run_pop_study so the
-// eager study (study_pop.h) and the streaming scale study (scale_study.h)
-// execute the exact same plan/measure code — same draw order, same float
-// expression order — and therefore produce bit-identical series for the same
-// world. Any change here moves both paths together; the scale equivalence
-// test (tests/core/scale_study_test.cpp) pins them against each other.
+// The per-<PoP, prefix> unit of Study 1: the plan and measure kernels that
+// run_pop_pairs (study_pop.h) fans out over a run of client prefixes. Both
+// Study-1 drivers reach them only through run_pop_pairs;
+// tests/core/scale_study_test.cpp pins their output against golden values.
 #pragma once
 
 #include <vector>
@@ -42,9 +40,8 @@ struct PairPlan {
 
 /// Measure one planned pair across the windows: spray sampled sessions over
 /// every route, keep per-window medians and the bootstrap CI of
-/// (BGP - best alternate). `popularity` and `lon_deg` stand in for the eager
-/// DemandModel — volumes come from traffic::diurnal_volume, which is the same
-/// function the model calls, so streamed and eager volumes are bit-equal.
+/// (BGP - best alternate). `popularity` and `lon_deg` feed
+/// traffic::diurnal_volume, the one definition of the per-window volume.
 /// Deterministic in its arguments: the RNG is forked from `root` by
 /// <prefix, pop>, never by call order.
 [[nodiscard]] PopPrefixSeries measure_pop_pair(

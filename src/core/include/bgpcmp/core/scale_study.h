@@ -1,33 +1,30 @@
-// Streaming Study 1 for worlds too large to materialize eagerly.
+// Study 1 as a stream of client chunks — the one Study-1 pipeline.
 //
-// run_pop_study holds the whole client base, the demand model, and a route
-// table for every client origin resident at once; at 100x AS counts the
-// warmed RouteCache alone is tens of gigabytes. The scale path replaces the
-// resident world with bounded windows over it:
-//
-//   * ScaleWorld is a Scenario minus the client/demand materializations —
-//     just the internet, the attached provider, and the congestion/latency
-//     fields (whose memory is world-sized, not client-sized).
+// Every Study-1 driver runs the same body, run_pop_pairs (core/study_pop.h):
+// warm a RouteCache over a run of client prefixes' origins, plan and measure
+// their <PoP, prefix> pairs. What differs is only how the prefixes arrive and
+// what is kept:
 //
 //   * run_scale_study streams the client population chunk by chunk
-//     (traffic::ClientStream): each chunk warms a fresh RouteCache over only
-//     its origins, plans and measures its pairs with the exact code the eager
-//     study runs (core/pop_pair.h), folds the pair series into Fig-1 points
-//     plus a per-chunk digest, and drops everything before the next chunk.
-//     Peak memory is bounded by the chunk size knob while results stay
-//     bit-identical to the eager study on the same world
-//     (tests/core/scale_study_test.cpp pins fig1 quantiles and the
-//     improvable fraction).
+//     (traffic::ClientStream) against a ScaleWorld (core/scenario.h), runs
+//     the body per chunk, folds the pair series into Fig-1 points plus a
+//     per-chunk digest, and drops everything before the next chunk. Peak
+//     memory is bounded by the chunk size knob, never by the world.
+//
+//   * run_pop_study is the one-chunk run: the body over a Scenario's
+//     resident client base (itself the single chunk of the same stream),
+//     keeping every series for the Fig-2 and E6/E7/E10 analyses. Its Fig-1
+//     quantiles and improvable fraction are bit-equal to the streamed ones
+//     (tests/core/scale_study_test.cpp pins both against golden values).
 //
 //   * Per-chunk results are pure in (world, config, chunk) and carry a
 //     canonical merge line, so chunks can run in different OS processes
-//     (tools/shard_runner) and merge back — in chunk order — into a result
-//     byte-identical to the single-process run. fingerprint() is the value
-//     the shard harness compares.
+//     (bgpcmp shard, core/shard.h) and merge back — in chunk order — into a
+//     result byte-identical to the single-process run. fingerprint() is the
+//     value the shard harness compares.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,35 +36,8 @@
 
 namespace bgpcmp::core {
 
-/// The world a streaming study runs against: a Scenario without the eager
-/// client base, demand model, or any per-client state. Memory scales with
-/// the AS graph, never with the client population.
-class ScaleWorld {
- public:
-  BGPCMP_PHASE(build)
-  static std::unique_ptr<ScaleWorld> make(const ScenarioConfig& config = {});
-
-  /// Adopt a pre-built world (e.g. loaded from a topology snapshot) that
-  /// does not yet contain the provider AS; attaches the provider exactly
-  /// like a fresh build, so the result is byte-identical to make().
-  BGPCMP_PHASE(build)
-  static std::unique_ptr<ScaleWorld> adopt(ScenarioConfig config, topo::Internet world);
-
-  ScaleWorld(const ScaleWorld&) = delete;
-  ScaleWorld& operator=(const ScaleWorld&) = delete;
-
-  topo::Internet internet;
-  cdn::ContentProvider provider;
-  lat::CongestionField congestion;
-  lat::LatencyModel latency;
-  ScenarioConfig config;
-
- private:
-  ScaleWorld(ScenarioConfig cfg, topo::Internet world);
-};
-
 struct ScaleStudyConfig {
-  PopStudyConfig study;  ///< same knobs (and draws) as the eager study
+  PopStudyConfig study;  ///< same knobs (and draws) as run_pop_study
   /// Origins per chunk: bounds the per-chunk RouteCache and client window.
   std::size_t chunk_origins = 256;
 };
@@ -78,7 +48,7 @@ struct ScaleChunkResult {
   std::uint32_t pairs = 0;          ///< measurable pairs (>= 2 routes)
   std::uint64_t series_digest = 0;  ///< FNV-1a over the chunk's series bytes
   /// Fig-1 observations (diff, volume) in pair-major, window-minor order —
-  /// the same order the eager fig1_cdf visits them.
+  /// the same order PopStudyResult::fig1_cdf visits them.
   std::vector<stats::Weighted> fig1;
 
   /// Canonical one-line rendering; the shard merge fingerprint hashes these
@@ -90,7 +60,7 @@ struct ScaleStudyResult {
   std::vector<TimeWindow> windows;
   std::vector<ScaleChunkResult> chunks;  ///< global chunk order
 
-  /// Fig 1 CDF over all chunks' observations, in the eager visit order.
+  /// Fig 1 CDF over all chunks' observations, in PopStudyResult's visit order.
   [[nodiscard]] stats::WeightedCdf fig1_cdf() const;
   /// §3.1 headline, bit-equal to PopStudyResult::improvable_traffic_fraction
   /// on the same world (same additions in the same order).
@@ -100,10 +70,9 @@ struct ScaleStudyResult {
   [[nodiscard]] std::size_t pair_count() const;
 };
 
-/// Run one chunk: warm a RouteCache over the chunk's origins, plan and
-/// measure its pairs, fold the series into fig1 points and a digest. The
-/// demand cursor must sit at the chunk's first prefix (skip() to it); it is
-/// left at the chunk's end. Pure in (world, config, windows, chunk) — chunk
+/// Run one chunk: run_pop_pairs over the chunk's prefixes, folded into fig1
+/// points and a digest. The demand cursor must sit at the chunk's first
+/// prefix (skip() to it); it is left at the chunk's end. Pure in (world, config, windows, chunk) — chunk
 /// order, process boundaries, and thread width never change the bytes —
 /// machine-checked as BGPCMP_PURE_CHUNK (detlint D9/D10).
 BGPCMP_PURE_CHUNK

@@ -1,11 +1,11 @@
-// The standard experiment scenario: one synthetic Internet with a content
-// provider attached, a client population, demand, and a congestion field.
-// Every study, bench, and example builds on this fixture, so results across
-// experiments describe the same world.
+// The standard experiment world: one synthetic Internet with a content
+// provider attached and a congestion field (ScaleWorld), plus — for the eager
+// studies — the resident client population and demand (Scenario).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "bgpcmp/cdn/provider.h"
 #include "bgpcmp/latency/congestion.h"
@@ -40,9 +40,42 @@ struct ScenarioConfig {
   [[nodiscard]] static ScenarioConfig google_like();
 };
 
-/// Owns the full simulated world; heap-allocated so internal pointers stay
-/// stable. Non-copyable.
-class Scenario {
+/// The world every study runs against: the internet with the provider
+/// attached, and the congestion/latency fields — memory scales with the AS
+/// graph, never the client population. Heap-allocated so internal pointers
+/// stay stable. Non-copyable.
+class ScaleWorld {
+ public:
+  BGPCMP_PHASE(build)
+  static std::unique_ptr<ScaleWorld> make(const ScenarioConfig& config = {});
+
+  /// Adopt a pre-built world (e.g. loaded from a topology snapshot) that
+  /// does not yet contain the provider AS; attaches the provider exactly
+  /// like a fresh build, so the result is byte-identical to make().
+  BGPCMP_PHASE(build)
+  static std::unique_ptr<ScaleWorld> adopt(ScenarioConfig config, topo::Internet world);
+
+  ScaleWorld(const ScaleWorld&) = delete;
+  ScaleWorld& operator=(const ScaleWorld&) = delete;
+  virtual ~ScaleWorld() = default;
+
+  topo::Internet internet;
+  cdn::ContentProvider provider;
+  lat::CongestionField congestion;
+  lat::LatencyModel latency;
+  ScenarioConfig config;
+
+ protected:
+  /// Attaches the provider to `world`, unless `attached` is the provider
+  /// `world` already contains (a snapshot restore).
+  ScaleWorld(ScenarioConfig cfg, topo::Internet world,
+             std::optional<cdn::ContentProvider> attached = std::nullopt);
+};
+
+/// A ScaleWorld plus the whole client base (the one-chunk run of
+/// traffic::ClientStream) and demand model, resident: the fixture every
+/// eager study, bench, and example builds on.
+class Scenario : public ScaleWorld {
  public:
   BGPCMP_PHASE(build)
   static std::unique_ptr<Scenario> make(const ScenarioConfig& config = {});
@@ -66,21 +99,14 @@ class Scenario {
                                            cdn::ContentProvider provider,
                                            traffic::ClientBase clients);
 
-  Scenario(const Scenario&) = delete;
-  Scenario& operator=(const Scenario&) = delete;
-
-  topo::Internet internet;
-  cdn::ContentProvider provider;
   traffic::ClientBase clients;
   traffic::DemandModel demand;
-  lat::CongestionField congestion;
-  lat::LatencyModel latency;
-  ScenarioConfig config;
 
  private:
-  Scenario(ScenarioConfig cfg, topo::Internet world);
-  Scenario(ScenarioConfig cfg, topo::Internet world, cdn::ContentProvider cp,
-           traffic::ClientBase cb);
+  /// Generates the client base unless `restored` carries one.
+  Scenario(ScenarioConfig cfg, topo::Internet world,
+           std::optional<cdn::ContentProvider> attached = std::nullopt,
+           std::optional<traffic::ClientBase> restored = std::nullopt);
 };
 
 }  // namespace bgpcmp::core

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -66,6 +67,21 @@ BGPCMP_PURE_CHUNK
 /// silently thinner study.
 [[nodiscard]] ScaleStudyResult merge_scale_chunks(std::vector<ScaleChunkResult> chunks,
                                                   std::size_t chunk_count,
+                                                  std::vector<TimeWindow> windows);
+
+/// Write one study worker's whole output to `out`: a "stream <n> chunks"
+/// header line naming the stream's chunk count, then the encoded results of
+/// block `worker` of `shards` (shard_range over the chunks), one chunk at a
+/// time. The demand cursor skips once to the block's first prefix, then
+/// streams.
+void run_scale_shard(const ScaleWorld& world, const ScaleStudyConfig& config,
+                     int shards, int worker, std::ostream& out);
+
+/// Merge run_scale_shard outputs (any order) into the study. Every output
+/// must carry the header and all must name the same chunk count, which the
+/// chunks must then tile exactly — so a worker file that lost its tail
+/// chunks fails loudly even when it ends cleanly at a chunk boundary.
+[[nodiscard]] ScaleStudyResult merge_scale_shards(std::span<const std::string> outputs,
                                                   std::vector<TimeWindow> windows);
 
 }  // namespace bgpcmp::core

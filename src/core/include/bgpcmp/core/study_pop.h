@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bgpcmp/core/scenario.h"
@@ -78,7 +79,21 @@ struct PopStudyResult {
 /// by the eager study, the streaming scale study, and shard workers.
 [[nodiscard]] std::vector<TimeWindow> study_windows(const PopStudyConfig& config);
 
-/// Run the study on a scenario. Deterministic in (scenario, config).
+/// Study 1's one warm -> plan -> measure body, over a contiguous run of
+/// client prefixes: `prefixes[i]` has global id first_prefix + i and static
+/// popularity `popularity[i]`. Warms a RouteCache over only their origins,
+/// plans every <PoP, prefix> pair (core/pop_pair.h), and returns the series
+/// of the pairs with at least two routes, in prefix order. Per-AS route
+/// tables and per-pair RNG streams make every byte independent of which run
+/// — chunk, process, or thread — computes a pair.
+[[nodiscard]] std::vector<PopPrefixSeries> run_pop_pairs(
+    const ScaleWorld& world, const PopStudyConfig& config,
+    const std::vector<TimeWindow>& windows,
+    std::span<const traffic::ClientPrefix> prefixes, traffic::PrefixId first_prefix,
+    std::span<const double> popularity);
+
+/// Run the study on a scenario: run_pop_pairs over the whole resident client
+/// base, keeping every series. Deterministic in (scenario, config).
 [[nodiscard]] PopStudyResult run_pop_study(const Scenario& scenario,
                                            const PopStudyConfig& config = {});
 

@@ -4,32 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "bgpcmp/bgp/route_cache.h"
 #include "bgpcmp/core/fingerprint.h"
-#include "bgpcmp/core/pop_pair.h"
-#include "bgpcmp/exec/thread_pool.h"
-#include "bgpcmp/latency/rtt_sampler.h"
 #include "bgpcmp/netbase/check.h"
 
 namespace bgpcmp::core {
-
-ScaleWorld::ScaleWorld(ScenarioConfig cfg, topo::Internet world)
-    : internet(std::move(world)),
-      provider(cdn::ContentProvider::attach(internet, cfg.provider)),
-      congestion(&internet.graph, internet.cities, cfg.congestion,
-                 cfg.internet.seed ^ 0x9e3779b97f4a7c15ULL),
-      latency(&internet.graph, internet.cities, &congestion, cfg.latency),
-      config(std::move(cfg)) {}
-
-std::unique_ptr<ScaleWorld> ScaleWorld::make(const ScenarioConfig& config) {
-  return std::unique_ptr<ScaleWorld>(
-      new ScaleWorld(config, topo::build_internet(config.internet)));
-}
-
-std::unique_ptr<ScaleWorld> ScaleWorld::adopt(ScenarioConfig config,
-                                              topo::Internet world) {
-  return std::unique_ptr<ScaleWorld>(new ScaleWorld(std::move(config), std::move(world)));
-}
 
 namespace {
 
@@ -77,41 +55,9 @@ ScaleChunkResult run_scale_chunk(const ScaleWorld& world,
                                  const std::vector<TimeWindow>& windows,
                                  const traffic::ClientStream& stream,
                                  traffic::DemandStream& demand, std::size_t chunk) {
-  const auto& graph = world.internet.graph;
-  const topo::CityDb& db = world.internet.city_db();
-
   const traffic::ClientChunk window = stream.chunk(chunk);
-  const std::vector<double> popularity = demand.next(window);
-
-  // Warm a route cache over only this chunk's origins — the whole point:
-  // per-chunk table memory is bounded by chunk_origins, not the world.
-  bgp::RouteCache tables{&graph};
-  tables.warm(stream.chunk_origin_ases(chunk), exec::global_pool());
-
-  // Plan and measure with the code the eager study runs (pop_pair.h); per-AS
-  // route tables and per-pair RNG streams make every byte independent of
-  // which chunk — or process — computes the pair.
-  auto planned = exec::parallel_map(window.prefixes.size(), [&](std::size_t i) {
-    const auto& client = window.prefixes[i];
-    const bgp::RouteTable* table = tables.find(client.origin_as);
-    return plan_pop_pair(graph, db, world.provider, client, window.id(i), *table,
-                         config.study.top_k_routes);
-  });
-  std::vector<PairPlan> plans;
-  for (auto& plan : planned) {
-    if (plan.measurable()) plans.push_back(std::move(plan));
-  }
-
-  const lat::RttSampler sampler;
-  const Rng root{config.study.seed};
-  const auto series = exec::parallel_map(plans.size(), [&](std::size_t p) {
-    const PairPlan& plan = plans[p];
-    const std::size_t i = plan.prefix - window.first_prefix;
-    const auto& client = window.prefixes[i];
-    return measure_pop_pair(plan, client, windows, popularity[i],
-                            db.at(client.city).location.lon_deg, world.config.demand,
-                            world.latency, sampler, root, config.study);
-  });
+  const auto series = run_pop_pairs(world, config.study, windows, window.prefixes,
+                                    window.first_prefix, demand.next(window));
 
   ScaleChunkResult out;
   out.chunk = static_cast<std::uint32_t>(chunk);

@@ -48,26 +48,33 @@ ScenarioConfig ScenarioConfig::google_like() {
   return cfg;
 }
 
-Scenario::Scenario(ScenarioConfig cfg, topo::Internet world)
+ScaleWorld::ScaleWorld(ScenarioConfig cfg, topo::Internet world,
+                       std::optional<cdn::ContentProvider> attached)
     : internet(std::move(world)),
-      provider(cdn::ContentProvider::attach(internet, cfg.provider)),
-      clients(traffic::ClientBase::generate(internet, cfg.clients)),
-      demand(&clients, internet.cities, cfg.demand),
+      provider(attached ? std::move(*attached)
+                        : cdn::ContentProvider::attach(internet, cfg.provider)),
       congestion(&internet.graph, internet.cities, cfg.congestion,
                  cfg.internet.seed ^ 0x9e3779b97f4a7c15ULL),
       latency(&internet.graph, internet.cities, &congestion, cfg.latency),
       config(std::move(cfg)) {}
 
-Scenario::Scenario(ScenarioConfig cfg, topo::Internet world, cdn::ContentProvider cp,
-                   traffic::ClientBase cb)
-    : internet(std::move(world)),
-      provider(std::move(cp)),
-      clients(std::move(cb)),
-      demand(&clients, internet.cities, cfg.demand),
-      congestion(&internet.graph, internet.cities, cfg.congestion,
-                 cfg.internet.seed ^ 0x9e3779b97f4a7c15ULL),
-      latency(&internet.graph, internet.cities, &congestion, cfg.latency),
-      config(std::move(cfg)) {}
+std::unique_ptr<ScaleWorld> ScaleWorld::make(const ScenarioConfig& config) {
+  return std::unique_ptr<ScaleWorld>(
+      new ScaleWorld(config, topo::build_internet(config.internet)));
+}
+
+std::unique_ptr<ScaleWorld> ScaleWorld::adopt(ScenarioConfig config,
+                                              topo::Internet world) {
+  return std::unique_ptr<ScaleWorld>(new ScaleWorld(std::move(config), std::move(world)));
+}
+
+Scenario::Scenario(ScenarioConfig cfg, topo::Internet world,
+                   std::optional<cdn::ContentProvider> attached,
+                   std::optional<traffic::ClientBase> restored)
+    : ScaleWorld(std::move(cfg), std::move(world), std::move(attached)),
+      clients(restored ? std::move(*restored)
+                       : traffic::ClientBase::generate(internet, config.clients)),
+      demand(&clients, internet.cities, config.demand) {}
 
 std::unique_ptr<Scenario> Scenario::restore(ScenarioConfig config, topo::Internet world,
                                             cdn::ContentProvider provider,

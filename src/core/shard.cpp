@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "bgpcmp/core/fingerprint.h"
 #include "bgpcmp/netbase/check.h"
@@ -104,6 +105,41 @@ ScaleStudyResult merge_scale_chunks(std::vector<ScaleChunkResult> chunks,
   result.windows = std::move(windows);
   result.chunks = std::move(chunks);
   return result;
+}
+
+void run_scale_shard(const ScaleWorld& world, const ScaleStudyConfig& config,
+                     int shards, int worker, std::ostream& out) {
+  const traffic::ClientStream stream{&world.internet, world.config.clients,
+                                     config.chunk_origins};
+  const auto windows = study_windows(config.study);
+  const ShardRange range = shard_range(stream.chunk_count(), shards, worker);
+  traffic::DemandStream cursor{world.config.demand};
+  if (!range.empty()) cursor.skip(stream.chunk_prefix_range(range.begin).first);
+  out << "stream " << stream.chunk_count() << " chunks\n";
+  for (std::size_t c = range.begin; c < range.end; ++c) {
+    out << encode_scale_chunk(run_scale_chunk(world, config, windows, stream, cursor, c));
+  }
+}
+
+ScaleStudyResult merge_scale_shards(std::span<const std::string> outputs,
+                                    std::vector<TimeWindow> windows) {
+  std::vector<ScaleChunkResult> chunks;
+  std::optional<std::size_t> chunk_count;
+  for (const std::string& text : outputs) {
+    std::size_t declared = 0;
+    int eol = -1;
+    std::sscanf(text.c_str(), "stream %zu chunks%n", &declared, &eol);
+    BGPCMP_CHECK(eol > 0 && text[eol] == '\n',
+                 "shard worker output without a stream header");
+    BGPCMP_CHECK(!chunk_count || *chunk_count == declared,
+                 "shard workers disagree on the stream's chunk count");
+    chunk_count = declared;
+    for (auto& chunk : decode_scale_chunks(std::string_view{text}.substr(eol + 1u))) {
+      chunks.push_back(std::move(chunk));
+    }
+  }
+  BGPCMP_CHECK(chunk_count.has_value(), "no shard worker outputs to merge");
+  return merge_scale_chunks(std::move(chunks), *chunk_count, std::move(windows));
 }
 
 }  // namespace bgpcmp::core

@@ -6,6 +6,7 @@
 #include "bgpcmp/core/pop_pair.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/rtt_sampler.h"
+#include "bgpcmp/netbase/check.h"
 
 namespace bgpcmp::core {
 
@@ -27,33 +28,34 @@ std::vector<TimeWindow> study_windows(const PopStudyConfig& config) {
   return windows;
 }
 
-PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& config) {
-  const auto& graph = scenario.internet.graph;
-  const topo::CityDb& db = scenario.internet.city_db();
-  PopStudyResult result;
-  result.windows = study_windows(config);
+std::vector<PopPrefixSeries> run_pop_pairs(const ScaleWorld& world,
+                                           const PopStudyConfig& config,
+                                           const std::vector<TimeWindow>& windows,
+                                           std::span<const traffic::ClientPrefix> prefixes,
+                                           traffic::PrefixId first_prefix,
+                                           std::span<const double> popularity) {
+  BGPCMP_CHECK_EQ(popularity.size(), prefixes.size(), "one popularity per prefix");
+  const auto& graph = world.internet.graph;
+  const topo::CityDb& db = world.internet.city_db();
 
   // Route tables per client origin AS (shared across that AS's prefixes):
   // warm every distinct origin over the pool, then plan against the
   // read-only cache — the warm-then-plan pattern from docs/PARALLELISM.md.
+  // Table memory is bounded by this run's origins, not the world's.
   bgp::RouteCache tables{&graph};
   std::vector<topo::AsIndex> origins;
-  origins.reserve(scenario.clients.size());
-  for (const auto& client : scenario.clients.prefixes()) {
-    origins.push_back(client.origin_as);
-  }
+  origins.reserve(prefixes.size());
+  for (const auto& client : prefixes) origins.push_back(client.origin_as);
   tables.warm(origins, exec::global_pool());
 
   // Plan every <PoP, prefix> pair with at least two egress routes. Each pair
-  // reads only the immutable scenario and the warmed cache, so planning fans
+  // reads only the immutable world and the warmed cache, so planning fans
   // out too; under-routed pairs come back empty and are dropped in order.
-  // plan_pop_pair is shared with the streaming scale study (pop_pair.h).
-  auto planned = exec::parallel_map(scenario.clients.size(), [&](std::size_t id) {
-    const auto& client = scenario.clients.at(static_cast<traffic::PrefixId>(id));
-    const bgp::RouteTable* table = tables.find(client.origin_as);
-    return plan_pop_pair(graph, db, scenario.provider, client,
-                         static_cast<traffic::PrefixId>(id), *table,
-                         config.top_k_routes);
+  auto planned = exec::parallel_map(prefixes.size(), [&](std::size_t i) {
+    const auto& client = prefixes[i];
+    return plan_pop_pair(graph, db, world.provider, client,
+                         first_prefix + static_cast<traffic::PrefixId>(i),
+                         *tables.find(client.origin_as), config.top_k_routes);
   });
   std::vector<PairPlan> plans;
   for (auto& plan : planned) {
@@ -62,21 +64,28 @@ PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& con
 
   // Measure: spray sessions over each route in every window. Plans are
   // independent by construction — each forks its own RNG stream keyed by
-  // <prefix, pop> and reads only immutable scenario state (the congestion
+  // <prefix, pop> and reads only immutable world state (the congestion
   // field's lazy access cache is internally synchronized) — so they fan out
   // over the exec pool, collected in plan order. Output is byte-identical
   // for any thread count; tools/determinism_audit --compare-threads checks.
   const lat::RttSampler sampler;
   const Rng root{config.seed};
-  result.series = exec::parallel_map(plans.size(), [&](std::size_t plan_index) {
-    const PairPlan& plan = plans[plan_index];
-    const auto& client = scenario.clients.at(plan.prefix);
-    return measure_pop_pair(plan, client, result.windows,
-                            scenario.demand.popularity(plan.prefix),
-                            db.at(client.city).location.lon_deg,
-                            scenario.config.demand, scenario.latency, sampler, root,
-                            config);
+  return exec::parallel_map(plans.size(), [&](std::size_t p) {
+    const PairPlan& plan = plans[p];
+    const std::size_t i = plan.prefix - first_prefix;
+    const auto& client = prefixes[i];
+    return measure_pop_pair(plan, client, windows, popularity[i],
+                            db.at(client.city).location.lon_deg, world.config.demand,
+                            world.latency, sampler, root, config);
   });
+}
+
+PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& config) {
+  PopStudyResult result;
+  result.windows = study_windows(config);
+  result.series = run_pop_pairs(scenario, config, result.windows,
+                                scenario.clients.prefixes(), 0,
+                                scenario.demand.popularities());
   return result;
 }
 

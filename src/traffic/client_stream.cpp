@@ -9,9 +9,8 @@ namespace bgpcmp::traffic {
 
 namespace {
 
-/// Deterministic /24 allocation, shared with the eager path: the i-th client
-/// prefix of the world is 20.0.0.0 + i*256 (clients.cpp keeps the same
-/// formula; the golden stream tests would catch a drift).
+/// Deterministic /24 allocation: the i-th client prefix of the world is
+/// 20.0.0.0 + i*256.
 Prefix nth_slash24(std::uint32_t i) {
   constexpr std::uint32_t kBase = (20u << 24);
   return Prefix::make(Ipv4Address{kBase + i * 256u}, 24);
@@ -23,8 +22,9 @@ ClientStream::ClientStream(const Internet* internet, const ClientBaseConfig& con
                            std::size_t chunk_origins)
     : internet_(internet),
       config_(config),
-      chunk_origins_(chunk_origins == 0 ? 1 : chunk_origins) {
-  // Walk the eager generation order (eyeballs, then stubs) accumulating each
+      chunk_origins_(chunk_origins) {
+  BGPCMP_CHECK_GT(chunk_origins, 0u, "client stream needs at least one origin per chunk");
+  // Walk the generation order (eyeballs, then stubs) accumulating each
   // origin's deterministic prefix count. No RNG is touched here: counts
   // depend only on presence sizes, so offsets are a pure prefix sum.
   const auto add = [&](AsIndex as, int per_city) {
@@ -47,25 +47,33 @@ ClientStream::ClientStream(const Internet* internet, const ClientBaseConfig& con
 }
 
 std::size_t ClientStream::chunk_count() const {
-  return (origins_.size() + chunk_origins_ - 1) / chunk_origins_;
+  // Not (n + k - 1) / k: that wraps when chunk_origins is near SIZE_MAX.
+  return origins_.size() / chunk_origins_ + (origins_.size() % chunk_origins_ != 0);
+}
+
+std::pair<std::size_t, std::size_t> ClientStream::origin_range(std::size_t c) const {
+  BGPCMP_CHECK_LT(c, chunk_count(), "chunk index outside the stream");
+  const std::size_t begin = c * chunk_origins_;
+  return {begin, begin + std::min(chunk_origins_, origins_.size() - begin)};
 }
 
 ClientChunk ClientStream::chunk(std::size_t c) const {
-  BGPCMP_CHECK_LT(c, chunk_count(), "chunk index outside the stream");
-  const std::size_t begin = c * chunk_origins_;
-  const std::size_t end = std::min(begin + chunk_origins_, origins_.size());
-
+  const auto [begin, end] = origin_range(c);
   ClientChunk out;
   out.index = c;
   out.first_prefix = origins_[begin].first_prefix;
+  out.prefixes.reserve(chunk_prefix_range(c).second);
 
   const topo::CityDb& db = internet_->city_db();
   const Rng root{config_.seed};
   for (std::size_t o = begin; o < end; ++o) {
     const OriginSpan& span = origins_[o];
     const auto& node = internet_->graph.node(span.as);
-    // Identical draw stream to ClientBase::generate: one fork per origin AS,
-    // then per-(city, k) lognormal weight and uniform access RTT in order.
+    // One fork per origin AS, then per-(city, k) lognormal weight and uniform
+    // access RTT in order — the draws depend on nothing outside the origin.
+    // How many eyeball ASes share a city's users is unknowable here; the city
+    // weight is split evenly across this AS's prefixes in the city, which
+    // preserves relative metro sizes.
     Rng rng = root.fork("clients-" + std::to_string(span.as));
     std::uint32_t next_prefix = span.first_prefix;
     for (const CityId city : node.presence) {
@@ -86,9 +94,7 @@ ClientChunk ClientStream::chunk(std::size_t c) const {
 }
 
 std::vector<AsIndex> ClientStream::chunk_origin_ases(std::size_t c) const {
-  BGPCMP_CHECK_LT(c, chunk_count(), "chunk index outside the stream");
-  const std::size_t begin = c * chunk_origins_;
-  const std::size_t end = std::min(begin + chunk_origins_, origins_.size());
+  const auto [begin, end] = origin_range(c);
   std::vector<AsIndex> out;
   out.reserve(end - begin);
   for (std::size_t o = begin; o < end; ++o) out.push_back(origins_[o].as);
@@ -97,9 +103,7 @@ std::vector<AsIndex> ClientStream::chunk_origin_ases(std::size_t c) const {
 
 std::pair<PrefixId, std::uint32_t> ClientStream::chunk_prefix_range(
     std::size_t c) const {
-  BGPCMP_CHECK_LT(c, chunk_count(), "chunk index outside the stream");
-  const std::size_t begin = c * chunk_origins_;
-  const std::size_t end = std::min(begin + chunk_origins_, origins_.size());
+  const auto [begin, end] = origin_range(c);
   const std::uint32_t first = origins_[begin].first_prefix;
   const std::uint32_t next = end < origins_.size()
                                  ? origins_[end].first_prefix
@@ -111,21 +115,23 @@ DemandStream::DemandStream(const DemandConfig& config)
     : config_(config), rng_(Rng{config.seed}.fork("popularity")) {}
 
 double DemandStream::draw() {
-  // One serial draw per prefix — the exact stream DemandModel's constructor
-  // consumes eagerly.
+  // One serial draw per prefix. User weight modulated by this heavy-tailed
+  // factor: big metros still dominate, but some small prefixes are
+  // disproportionately hot.
   return rng_.pareto(1.0, 1.0 / config_.zipf_exponent);
 }
 
-std::vector<double> DemandStream::next(const ClientChunk& chunk) {
-  BGPCMP_CHECK_EQ(position_, static_cast<std::size_t>(chunk.first_prefix),
+std::vector<double> DemandStream::next(std::span<const ClientPrefix> prefixes,
+                                       PrefixId first) {
+  BGPCMP_CHECK_EQ(position_, static_cast<std::size_t>(first),
                   "demand cursor out of step with the client stream");
   std::vector<double> out;
-  out.reserve(chunk.prefixes.size());
-  for (const ClientPrefix& p : chunk.prefixes) {
+  out.reserve(prefixes.size());
+  for (const ClientPrefix& p : prefixes) {
     const double skew = draw();
     out.push_back(p.user_weight * std::min(skew, 50.0));
   }
-  position_ += chunk.prefixes.size();
+  position_ += prefixes.size();
   return out;
 }
 

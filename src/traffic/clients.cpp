@@ -1,58 +1,19 @@
+// The eager client base is the streaming generator run as one chunk: the
+// per-origin draws, the /24 allocation and the generation order exist only in
+// client_stream.cpp, so eager and streamed populations cannot drift apart.
 #include "bgpcmp/traffic/clients.h"
 
-#include <string>
+#include <cstdint>
 
-#include "bgpcmp/netbase/check.h"
+#include "bgpcmp/traffic/client_stream.h"
 
 namespace bgpcmp::traffic {
 
-namespace {
-
-/// Deterministic /24 allocation: the i-th client prefix is 20.0.0.0 + i*256.
-/// client_stream.cpp repeats this formula; the golden stream-equivalence
-/// tests pin the two against each other.
-Prefix nth_slash24(std::uint32_t i) {
-  constexpr std::uint32_t kBase = (20u << 24);
-  return Prefix::make(Ipv4Address{kBase + i * 256u}, 24);
-}
-
-}  // namespace
-
 ClientBase ClientBase::generate(const Internet& internet,
                                 const ClientBaseConfig& config) {
-  const topo::CityDb& db = internet.city_db();
-  ClientBase out;
-  Rng root{config.seed};
-
-  auto add_for = [&](AsIndex as, int per_city) {
-    const auto& node = internet.graph.node(as);
-    Rng rng = root.fork("clients-" + std::to_string(as));
-    // How many eyeball ASes share this city's users is unknowable here; the
-    // city weight is split evenly across this AS's prefixes in the city,
-    // which preserves relative metro sizes.
-    for (const CityId city : node.presence) {
-      for (int k = 0; k < per_city; ++k) {
-        ClientPrefix p;
-        p.prefix = nth_slash24(static_cast<std::uint32_t>(out.prefixes_.size()));
-        p.origin_as = as;
-        p.city = city;
-        p.user_weight = db.at(city).user_weight / static_cast<double>(per_city) *
-                        rng.lognormal(0.0, 0.4);
-        p.access.base_rtt_ms = rng.uniform(config.access_base_rtt_min_ms,
-                                           config.access_base_rtt_max_ms);
-        out.prefixes_.push_back(p);
-      }
-    }
-  };
-
-  for (const AsIndex as : internet.eyeballs) {
-    add_for(as, config.prefixes_per_eyeball_city);
-  }
-  if (config.include_stubs) {
-    for (const AsIndex as : internet.stubs) add_for(as, 1);
-  }
-  BGPCMP_CHECK(!out.prefixes_.empty(), "client base generated no prefixes");
-  return out;
+  // SIZE_MAX origins per chunk: the whole population is chunk 0, moved (not
+  // copied) into the base.
+  return restore(ClientStream{&internet, config, SIZE_MAX}.chunk(0).prefixes);
 }
 
 ClientBase ClientBase::restore(std::vector<ClientPrefix> prefixes) {

@@ -1,33 +1,31 @@
-// Streaming client/demand generation for worlds too large to materialize.
+// Client and demand generation: the one implementation behind both the
+// resident client base and the streaming studies.
 //
-// ClientBase::generate holds every client prefix of the world resident; at
-// 100x AS counts that is hundreds of thousands of prefixes per study and the
-// per-window memory of a study scales with the world. The streaming layer
-// replaces the eager materialization with a chunked, deterministic generator:
+//   * ClientStream partitions the generation order (eyeballs, then stubs)
+//     into fixed-size origin chunks. Each origin's prefixes are drawn from
+//     Rng::fork("clients-<as>"), and prefix ids come from a precomputed
+//     prefix-sum over deterministic per-origin counts — so any chunk can be
+//     generated in isolation (any order, any process) and the concatenation
+//     of all chunks is the same for every chunk size. ClientBase::generate is
+//     the single chunk of a stream with chunk_origins = SIZE_MAX.
 //
-//   * ClientStream partitions the eager generation order (eyeballs, then
-//     stubs) into fixed-size origin chunks. Each origin's prefixes are drawn
-//     from Rng::fork("clients-<as>") exactly like the eager path, and prefix
-//     ids come from a precomputed prefix-sum over deterministic per-origin
-//     counts — so any chunk can be generated in isolation (any order, any
-//     process) and the concatenation of all chunks is byte-identical to
-//     ClientBase::generate. tests/traffic/client_stream_test.cpp pins the
-//     golden digests at 1x and 4x.
+//   * DemandStream draws the per-prefix popularity as a sequential cursor:
+//     the draws come from one serial Rng stream, so the cursor carries the
+//     engine forward and holds only the current chunk's values. DemandModel
+//     is one next() over the whole client base. skip() advances over
+//     prefixes another shard owns by drawing and discarding — O(prefixes)
+//     time, O(1) memory — which lets a multi-process shard start mid-stream
+//     and still see the bytes a single pass sees.
 //
-//   * DemandStream replays DemandModel's per-prefix popularity draws as a
-//     sequential cursor: the draws come from one serial Rng stream, so the
-//     cursor carries the engine forward and holds only the current chunk's
-//     values. skip() advances over prefixes another shard owns by drawing and
-//     discarding — O(prefixes) time, O(1) memory — which is what lets a
-//     multi-process shard start mid-stream and still reproduce the eager
-//     popularity bytes.
-//
-// Studies consume both through bounded windows (core/scale_study.h): per-chunk
-// memory stays flat while client counts reach millions.
+// tests/traffic/client_stream_test.cpp pins golden digests at 1x and 4x for
+// several chunk sizes. Streaming studies consume both through bounded
+// windows (core/scale_study.h): per-chunk memory stays flat while client
+// counts reach millions.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bgpcmp/netbase/thread_annotations.h"
@@ -49,22 +47,22 @@ struct ClientChunk {
   }
 };
 
-/// Chunked generator over the eager client-generation order. Construction
+/// Chunked generator over the client-generation order. Construction
 /// walks only the origin lists (no prefix is materialized); chunk() generates
 /// one bounded window at a time.
 class ClientStream {
  public:
-  /// `chunk_origins` bounds resident state: a chunk holds the prefixes of at
-  /// most that many origin ASes (the per-chunk RouteCache of a streaming
-  /// study is bounded by the same knob).
+  /// `chunk_origins` (at least 1) bounds resident state: a chunk holds the
+  /// prefixes of at most that many origin ASes (the per-chunk RouteCache of a
+  /// streaming study is bounded by the same knob). SIZE_MAX puts every
+  /// origin in chunk 0.
   ClientStream(const Internet* internet, const ClientBaseConfig& config,
                std::size_t chunk_origins = 256);
 
-  /// Total prefixes the full stream yields == ClientBase::generate().size().
+  /// Total prefixes the full stream yields.
   [[nodiscard]] std::size_t total_prefixes() const { return total_; }
   /// Origin ASes contributing prefixes (eyeballs + optionally stubs).
   [[nodiscard]] std::size_t origin_count() const { return origins_.size(); }
-  [[nodiscard]] std::size_t chunk_origins() const { return chunk_origins_; }
   [[nodiscard]] std::size_t chunk_count() const;
 
   /// Generate chunk `c`. Pure: depends only on (internet, config, c), never
@@ -92,25 +90,32 @@ class ClientStream {
   const Internet* internet_;
   ClientBaseConfig config_;
   std::size_t chunk_origins_;
-  std::vector<OriginSpan> origins_;  ///< eager order: eyeballs, then stubs
+  std::vector<OriginSpan> origins_;  ///< generation order: eyeballs, then stubs
   std::size_t total_ = 0;
+
+  /// Index range [begin, end) of chunk `c` in origins_.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> origin_range(std::size_t c) const;
 };
 
-/// Sequential cursor over DemandModel's per-prefix popularity stream. The
-/// eager model draws one heavy-tail factor per prefix from a single serial
-/// Rng; the cursor reproduces those draws exactly while holding only the
-/// requested window.
+/// Sequential cursor over the per-prefix popularity stream: one heavy-tail
+/// factor per prefix from a single serial Rng, holding only the requested
+/// window.
 class DemandStream {
  public:
   explicit DemandStream(const DemandConfig& config);
 
-  /// Popularity of each prefix in `chunk`, advancing the cursor past them.
-  /// The cursor must currently sit at chunk.first_prefix (skip() to it).
-  [[nodiscard]] std::vector<double> next(const ClientChunk& chunk);
+  /// Popularity of each of `prefixes` (global ids from `first`), advancing
+  /// the cursor past them. The cursor must currently sit at `first` (skip()
+  /// to it).
+  [[nodiscard]] std::vector<double> next(std::span<const ClientPrefix> prefixes,
+                                         PrefixId first);
+  [[nodiscard]] std::vector<double> next(const ClientChunk& chunk) {
+    return next(chunk.prefixes, chunk.first_prefix);
+  }
 
   /// Advance the cursor over `n` prefixes without keeping their values:
   /// draws are replayed and discarded so a shard entering mid-stream sees
-  /// the same bytes the eager model produced.
+  /// the same bytes a single pass produces.
   void skip(std::size_t n);
 
   /// Prefixes consumed so far (== the global id the cursor sits at).

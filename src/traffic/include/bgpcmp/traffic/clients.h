@@ -41,9 +41,11 @@ struct ClientBaseConfig {
   double access_base_rtt_max_ms = 16.0;
 };
 
-/// The generated client population.
+/// The generated client population, resident.
 class ClientBase {
  public:
+  /// Every prefix of the world: the single chunk of a traffic::ClientStream
+  /// over all origins (client_stream.h).
   static ClientBase generate(const Internet& internet, const ClientBaseConfig& config);
 
   /// Rehydrate a population from deserialized prefixes (core/snapshot.h).

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "bgpcmp/netbase/check.h"
 #include "../testutil.h"
 
@@ -110,6 +114,38 @@ TEST(MergeScaleChunks, RejectsMissingChunk) {
   EXPECT_THROW((void)merge_scale_chunks(std::move(chunks), 3, {}), CheckError);
 }
 
+/// A worker output naming a `chunk_count`-chunk stream and carrying `ids`.
+std::string worker_output(std::size_t chunk_count, std::vector<std::uint32_t> ids) {
+  std::string out = "stream " + std::to_string(chunk_count) + " chunks\n";
+  for (const std::uint32_t id : ids) out += encode_scale_chunk(sample_chunk(id));
+  return out;
+}
+
+TEST(MergeScaleShards, MergesWorkerOutputsInAnyOrder) {
+  const std::vector<std::string> outputs{worker_output(3, {2}), worker_output(3, {0, 1})};
+  const auto merged = merge_scale_shards(outputs, {});
+  ASSERT_EQ(merged.chunks.size(), 3u);
+  for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(merged.chunks[c].chunk, c);
+}
+
+TEST(MergeScaleShards, RejectsLostTailChunks) {
+  // The last worker owned chunks 2 and 3 but its file ends cleanly after
+  // chunk 2: every chunk present is well-formed and the ids are contiguous,
+  // so only the stream's declared chunk count can catch the loss.
+  const std::vector<std::string> outputs{worker_output(4, {0, 1}), worker_output(4, {2})};
+  ScopedCheckThrows throws;
+  EXPECT_THROW((void)merge_scale_shards(outputs, {}), CheckError);
+}
+
+TEST(MergeScaleShards, RejectsMissingOrDisagreeingHeaders) {
+  ScopedCheckThrows throws;
+  const std::vector<std::string> headless{encode_scale_chunk(sample_chunk(0))};
+  EXPECT_THROW((void)merge_scale_shards(headless, {}), CheckError);
+  const std::vector<std::string> disagree{worker_output(2, {0}), worker_output(3, {1, 2})};
+  EXPECT_THROW((void)merge_scale_shards(disagree, {}), CheckError);
+  EXPECT_THROW((void)merge_scale_shards({}, {}), CheckError);
+}
+
 TEST(ShardedStudy, BlocksMergeToTheSerialResult) {
   // The full multi-process contract, minus the processes: run the study's
   // chunks as N contiguous blocks (fresh stream and cursor per block, like a
@@ -124,21 +160,13 @@ TEST(ShardedStudy, BlocksMergeToTheSerialResult) {
   const auto windows = study_windows(scfg.study);
 
   for (const int shards : {1, 2, 3}) {
-    std::string wire;
-    const traffic::ClientStream stream{&world->internet, world->config.clients,
-                                       scfg.chunk_origins};
+    std::vector<std::string> outputs;
     for (int w = 0; w < shards; ++w) {
-      const auto range = shard_range(stream.chunk_count(), shards, w);
-      traffic::DemandStream cursor{world->config.demand};
-      if (range.empty()) continue;
-      cursor.skip(stream.chunk_prefix_range(range.begin).first);
-      for (std::size_t c = range.begin; c < range.end; ++c) {
-        wire += encode_scale_chunk(
-            run_scale_chunk(*world, scfg, windows, stream, cursor, c));
-      }
+      std::ostringstream out;
+      run_scale_shard(*world, scfg, shards, w, out);
+      outputs.push_back(std::move(out).str());
     }
-    const auto merged = merge_scale_chunks(decode_scale_chunks(wire),
-                                           stream.chunk_count(), windows);
+    const auto merged = merge_scale_shards(outputs, windows);
     EXPECT_EQ(merged.fingerprint(), serial.fingerprint()) << shards << " shards";
     EXPECT_EQ(merged.improvable_traffic_fraction(2.0),
               serial.improvable_traffic_fraction(2.0))

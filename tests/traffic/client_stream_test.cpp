@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -98,6 +99,23 @@ TEST(ClientStream, ByteIdenticalToEagerAt4x) {
   const DemandModel demand{&clients, net.cities, dcfg};
   EXPECT_EQ(eager_digest(clients, demand), kClientDigest4x);
   EXPECT_EQ(streamed_digest(net, ccfg, dcfg, 256), kClientDigest4x);
+}
+
+TEST(ClientStream, MaxChunkOriginsIsOneWholeChunk) {
+  // The chunk count must not wrap when chunk_origins is near SIZE_MAX: the
+  // stream is then a single chunk holding the whole client base.
+  const auto net = scaled_net(1);
+  const ClientBaseConfig ccfg;
+  const ClientStream stream{&net, ccfg, SIZE_MAX};
+  ASSERT_EQ(stream.chunk_count(), 1u);
+  EXPECT_EQ(stream.chunk(0).prefixes.size(), stream.total_prefixes());
+  EXPECT_EQ(streamed_digest(net, ccfg, DemandConfig{}, SIZE_MAX), kClientDigest1x);
+}
+
+TEST(ClientStream, RejectsZeroChunkOrigins) {
+  const auto net = scaled_net(1);
+  ScopedCheckThrows throws;
+  EXPECT_THROW((ClientStream{&net, ClientBaseConfig{}, 0}), CheckError);
 }
 
 TEST(ClientStream, TotalsMatchEagerCount) {

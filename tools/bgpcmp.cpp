@@ -22,10 +22,14 @@
 // --warm K (origins to warm); a world loaded with `serve --snapshot` answers
 // byte-identically to one built fresh from the same flags — compare the
 // --digest lines.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/table_dump.h"
@@ -313,98 +317,75 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
+constexpr const char* kShardUsage =
+    "usage: bgpcmp shard [--shards N] [--days D] [--stride S] [--chunk-origins K] "
+    "[--threshold MS] [--check] [--preset ms|goog] [--seed N]\n";
+
+/// The value of `--name` as a positive number (non-negative when
+/// `allow_zero`), or `fallback` when the flag is absent. Anything else is a
+/// usage error: the study would otherwise run on a coerced value or crash.
+template <typename T>
+T shard_flag(const Args& args, const char* name, T fallback, bool allow_zero = false) {
+  const auto it = args.flags.find(name);
+  if (it == args.flags.end()) return fallback;
+  const char* text = it->second.c_str();
+  const char* last = text + it->second.size();
+  T value{};
+  bool parsed = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    char* end = nullptr;
+    value = std::strtod(text, &end);
+    parsed = end == last && last != text && std::isfinite(value);
+  } else {
+    const auto [end, ec] = std::from_chars(text, last, value);
+    parsed = ec == std::errc{} && end == last;
+  }
+  if (!parsed || !(value > 0 || (allow_zero && value == 0))) {
+    const char* want = std::is_floating_point_v<T> ? "positive number"
+                       : allow_zero                   ? "non-negative integer"
+                                                      : "positive integer";
+    std::fprintf(stderr, "bgpcmp shard: --%s needs a %s, got '%s'\n%s", name, want,
+                 text, kShardUsage);
+    std::exit(2);
+  }
+  return value;
+}
+
 core::ScaleStudyConfig scale_study_config(const Args& args) {
   core::ScaleStudyConfig cfg;
-  if (const auto d = args.flags.find("days"); d != args.flags.end()) {
-    cfg.study.days = std::stod(d->second);
-  }
-  if (const auto s = args.flags.find("stride"); s != args.flags.end()) {
-    cfg.study.window_stride = std::stoi(s->second);
-  }
-  if (const auto c = args.flags.find("chunk-origins"); c != args.flags.end()) {
-    cfg.chunk_origins = std::stoul(c->second);
-  }
+  cfg.study.days = shard_flag(args, "days", cfg.study.days);
+  cfg.study.window_stride = shard_flag(args, "stride", cfg.study.window_stride);
+  cfg.chunk_origins = shard_flag(args, "chunk-origins", cfg.chunk_origins);
   return cfg;
 }
 
 /// `bgpcmp shard`: the streaming Study-1 window split across worker
-/// processes. Each worker owns a contiguous block of client chunks (so its
-/// demand cursor skips once, then streams), writes its encoded chunk results
-/// to a file, and the parent merges them back in chunk order — a result
+/// processes. Each worker owns a contiguous block of client chunks
+/// (core::run_scale_shard) and writes it to a file; the parent merges them
+/// back in chunk order against the stream's chunk count — a result
 /// byte-identical to the single-process run, which --check verifies.
 int cmd_shard(const Args& args, int argc, char** argv) {
-  int shards = 2;
-  if (const auto s = args.flags.find("shards"); s != args.flags.end()) {
-    shards = std::stoi(s->second);
-  }
-  if (shards < 1) {
-    std::fputs("--shards needs a positive integer\n", stderr);
-    return 1;
-  }
+  const int shards = shard_flag(args, "shards", 2);
+  const double threshold = shard_flag(args, "threshold", 2.0);
   const auto scfg = scale_study_config(args);
 
-  if (const auto w = args.flags.find("worker"); w != args.flags.end()) {
+  if (args.flags.contains("worker")) {
+    const int worker = shard_flag(args, "worker", 0, /*allow_zero=*/true);
     const auto out = args.flags.find("out");
-    const int worker = std::stoi(w->second);
-    if (out == args.flags.end() || worker < 0 || worker >= shards) {
-      std::fputs("worker mode needs --out and a valid --worker index\n", stderr);
-      return 1;
+    if (out == args.flags.end() || out->second.empty() || worker >= shards) {
+      std::fprintf(stderr, "bgpcmp shard: worker mode needs --out and a --worker "
+                           "index below --shards\n%s", kShardUsage);
+      return 2;
     }
     const auto world = core::ScaleWorld::make(preset_config(args));
-    const traffic::ClientStream stream{&world->internet, world->config.clients,
-                                       scfg.chunk_origins};
-    const auto windows = core::study_windows(scfg.study);
-    const auto range = core::shard_range(stream.chunk_count(), shards, worker);
-    traffic::DemandStream cursor{world->config.demand};
-    if (!range.empty()) {
-      cursor.skip(stream.chunk_prefix_range(range.begin).first);
-    }
-    std::ofstream file{out->second, std::ios::binary};
-    if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", out->second.c_str());
-      return 1;
-    }
-    for (std::size_t c = range.begin; c < range.end; ++c) {
-      file << core::encode_scale_chunk(
-          core::run_scale_chunk(*world, scfg, windows, stream, cursor, c));
-    }
-    file.flush();
-    return file ? 0 : 1;
+    return tools::write_worker_output(out->second, [&](std::ostream& file) {
+      core::run_scale_shard(*world, scfg, shards, worker, file);
+    });
   }
 
-  std::vector<pid_t> pids;
-  std::vector<std::string> out_paths;
-  for (int w = 0; w < shards; ++w) {
-    std::vector<std::string> worker_argv{tools::self_exe()};
-    for (int i = 1; i < argc; ++i) worker_argv.emplace_back(argv[i]);
-    out_paths.push_back(tools::worker_out_path("study", w));
-    worker_argv.insert(worker_argv.end(),
-                       {"--worker", std::to_string(w), "--out", out_paths.back()});
-    pids.push_back(tools::spawn_worker(worker_argv));
-  }
-  if (!tools::wait_all(pids)) return 1;
-
-  std::vector<core::ScaleChunkResult> chunks;
-  for (const auto& path : out_paths) {
-    std::string text;
-    if (!tools::read_file(path, &text)) {
-      std::fprintf(stderr, "missing worker output %s\n", path.c_str());
-      return 1;
-    }
-    auto decoded = core::decode_scale_chunks(text);
-    for (auto& chunk : decoded) chunks.push_back(std::move(chunk));
-    std::remove(path.c_str());
-  }
-  std::size_t chunk_count = 0;
-  for (const auto& chunk : chunks) {
-    chunk_count = std::max(chunk_count, static_cast<std::size_t>(chunk.chunk) + 1);
-  }
-  const auto result = core::merge_scale_chunks(std::move(chunks), chunk_count,
-                                               core::study_windows(scfg.study));
-  double threshold = 2.0;
-  if (const auto t = args.flags.find("threshold"); t != args.flags.end()) {
-    threshold = std::stod(t->second);
-  }
+  const auto texts = tools::run_workers({argv, argv + argc}, shards, "study");
+  if (!texts) return 1;
+  const auto result = core::merge_scale_shards(*texts, core::study_windows(scfg.study));
   std::printf("chunks=%zu pairs=%zu windows=%zu improvable(>=%.1fms)=%.4f "
               "fingerprint=%016llx shards=%d\n",
               result.chunks.size(), result.pair_count(), result.windows.size(),

@@ -63,72 +63,41 @@ core::FingerprintOptions options_for(const core::RegisteredScenario& s,
   return options;
 }
 
+/// "<scenario> <fingerprint>": one registry unit's line in a sharded audit.
+std::string fingerprint_line(const core::RegisteredScenario& s, bool skip_studies) {
+  const auto hash = core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
+  char line[96];
+  std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
+                static_cast<unsigned long long>(hash));
+  return line;
+}
+
 /// --shards worker: fingerprint this block of the registry into --shard-out.
 int run_shard_worker(int shards, int worker, const std::string& out_path,
                      bool skip_studies) {
   const auto registry = core::scenario_registry();
   const auto range = core::shard_range(registry.size(), shards, worker);
-  std::ofstream out{out_path, std::ios::binary};
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    const auto& s = registry[i];
-    const auto hash =
-        core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
-    char line[96];
-    std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
-                  static_cast<unsigned long long>(hash));
-    out << line << '\n';
-  }
-  out.flush();
-  return out ? 0 : 2;
+  return tools::write_worker_output(out_path, [&](std::ostream& out) {
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      out << fingerprint_line(registry[i], skip_studies) << '\n';
+    }
+  });
 }
 
 /// --shards parent: run 1 in this process, run 2 across forked workers.
-int run_sharded_audit(int shards, bool skip_studies) {
+int run_sharded_audit(int argc, char** argv, int shards, bool skip_studies) {
   const auto registry = core::scenario_registry();
-  std::vector<pid_t> pids;
-  std::vector<std::string> out_paths;
-  for (int w = 0; w < shards; ++w) {
-    out_paths.push_back(tools::worker_out_path("audit", w));
-    std::vector<std::string> argv{tools::self_exe(),   "--shard-worker",
-                                  std::to_string(w),   "--shards",
-                                  std::to_string(shards), "--shard-out",
-                                  out_paths.back()};
-    if (skip_studies) argv.emplace_back("--skip-studies");
-    pids.push_back(tools::spawn_worker(argv));
-  }
-
   // Run 1, computed while the workers run: the in-process reference.
   std::vector<std::string> local;
-  for (const auto& s : registry) {
-    const auto hash =
-        core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
-    char line[96];
-    std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
-                  static_cast<unsigned long long>(hash));
-    local.emplace_back(line);
-  }
-
-  if (!tools::wait_all(pids)) return 1;
-  std::vector<std::string> sharded;
-  for (const auto& path : out_paths) {
-    std::string text;
-    if (!tools::read_file(path, &text)) {
-      std::fprintf(stderr, "missing worker output %s\n", path.c_str());
-      return 1;
-    }
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      const std::size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) break;
-      sharded.push_back(text.substr(pos, eol - pos));
-      pos = eol + 1;
-    }
-    std::remove(path.c_str());
-  }
+  const auto texts =
+      tools::run_workers({argv, argv + argc}, shards, "audit", "--shard-worker", "--shard-out",
+                         [&] {
+                           for (const auto& s : registry) {
+                             local.push_back(fingerprint_line(s, skip_studies));
+                           }
+                         });
+  if (!texts) return 1;
+  const std::vector<std::string> sharded = tools::lines_of(*texts);
   if (sharded.size() != registry.size()) {
     std::fprintf(stderr, "sharded run produced %zu of %zu scenarios\n",
                  sharded.size(), registry.size());
@@ -216,7 +185,7 @@ int main(int argc, char** argv) {
     }
     return run_shard_worker(shards, shard_worker, shard_out, skip_studies);
   }
-  if (shards > 0) return run_sharded_audit(shards, skip_studies);
+  if (shards > 0) return run_sharded_audit(argc, argv, shards, skip_studies);
   if (!only.empty() && core::find_scenario(only) == nullptr) {
     std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", only.c_str());
     return 2;

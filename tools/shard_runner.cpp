@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -84,52 +83,19 @@ std::string unit_line(const Unit& unit) {
 
 int run_worker(const Options& opt, const std::vector<Unit>& units) {
   const auto range = core::shard_range(units.size(), opt.shards, opt.worker);
-  std::ofstream out{opt.out_path, std::ios::binary};
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out_path.c_str());
-    return 2;
-  }
-  for (std::size_t u = range.begin; u < range.end; ++u) {
-    out << unit_line(units[u]) << '\n';
-  }
-  out.flush();
-  return out ? 0 : 2;
+  return tools::write_worker_output(opt.out_path, [&](std::ostream& out) {
+    for (std::size_t u = range.begin; u < range.end; ++u) out << unit_line(units[u]) << '\n';
+  });
 }
 
 int run_parent(const Options& opt, const std::vector<Unit>& units,
                int argc, char** argv) {
   // Re-exec self once per shard, forwarding the original flags plus the
-  // hidden worker assignment.
-  std::vector<pid_t> pids;
-  std::vector<std::string> out_paths;
-  for (int w = 0; w < opt.shards; ++w) {
-    std::vector<std::string> worker_argv{tools::self_exe()};
-    for (int i = 1; i < argc; ++i) worker_argv.emplace_back(argv[i]);
-    out_paths.push_back(tools::worker_out_path("units", w));
-    worker_argv.insert(worker_argv.end(),
-                       {"--worker", std::to_string(w), "--out", out_paths.back()});
-    pids.push_back(tools::spawn_worker(worker_argv));
-  }
-  if (!tools::wait_all(pids)) return 1;
-
-  // Merge: workers own contiguous blocks, so concatenating their files in
-  // worker order restores unit order; verify rather than trust.
-  std::vector<std::string> lines;
-  for (const auto& path : out_paths) {
-    std::string text;
-    if (!tools::read_file(path, &text)) {
-      std::fprintf(stderr, "missing worker output %s\n", path.c_str());
-      return 1;
-    }
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      const std::size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) break;
-      lines.push_back(text.substr(pos, eol - pos));
-      pos = eol + 1;
-    }
-    std::remove(path.c_str());
-  }
+  // hidden worker assignment. Workers own contiguous blocks, so their lines
+  // in worker order restore unit order; verify rather than trust.
+  const auto texts = tools::run_workers({argv, argv + argc}, opt.shards, "units");
+  if (!texts) return 1;
+  const std::vector<std::string> lines = tools::lines_of(*texts);
   if (lines.size() != units.size()) {
     std::fprintf(stderr, "merge expected %zu unit lines, got %zu\n", units.size(),
                  lines.size());

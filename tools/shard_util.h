@@ -2,78 +2,108 @@
 //
 // The deterministic half of sharding (partitioning, merging, the chunk
 // codec) lives in bgpcmp/core/shard.h and is unit-tested; this header is
-// only the OS glue the tools share: re-exec the current binary with worker
-// flags, wait for every worker, read back their output files. Workers write
-// to plain files (not pipes) so a worker crash leaves evidence and the
-// parent's merge step can check completeness via the chunk codec.
+// only the OS glue the tools share: re-exec the current binary once per
+// worker, wait for every worker, read back and remove their output files.
+// Workers write to plain files (not pipes) so the parent's merge step can
+// check completeness via the chunk codec.
 #pragma once
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace bgpcmp::tools {
 
-/// Path of the currently running binary, for re-execing workers. /proc is
-/// always present on the Linux targets this repo builds for.
-inline std::string self_exe() { return "/proc/self/exe"; }
-
-/// Spawn one worker process running `argv` (argv[0] is the executable).
-/// Returns the pid, or -1 if fork failed.
-inline pid_t spawn_worker(const std::vector<std::string>& argv) {
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const auto& arg : argv) cargv.push_back(const_cast<char*>(arg.c_str()));
-  cargv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv(cargv[0], cargv.data());
-    std::perror("execv");
-    _exit(127);
+/// Re-exec this binary (/proc/self/exe) as `shards` workers: worker w runs
+/// with `args` (argv[0] first; usually the parent's own argv) plus
+/// `worker_flag w out_flag <file>`.
+/// Runs `meanwhile` (if any) in the parent while they work, then waits for
+/// all of them and returns each worker's output text in worker order, or
+/// nullopt (with the reason on stderr) if any worker failed or left no
+/// output. Every worker file is removed on every path.
+inline std::optional<std::vector<std::string>> run_workers(
+    const std::vector<std::string>& args, int shards, const std::string& tag,
+    const char* worker_flag = "--worker", const char* out_flag = "--out",
+    const std::function<void()>& meanwhile = {}) {
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string dir = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+  std::vector<std::string> paths;
+  std::vector<pid_t> pids;
+  for (int w = 0; w < shards; ++w) {
+    paths.push_back(dir + "/bgpcmp_shard_" + tag + "_" + std::to_string(::getpid()) +
+                    "_" + std::to_string(w) + ".txt");
+    std::vector<std::string> worker_args = args;
+    worker_args.insert(worker_args.end(),
+                       {worker_flag, std::to_string(w), out_flag, paths.back()});
+    std::vector<char*> cargv;
+    for (auto& arg : worker_args) cargv.push_back(arg.data());
+    cargv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::execv("/proc/self/exe", cargv.data());
+      std::perror("execv");
+      _exit(127);
+    }
+    pids.push_back(pid);
   }
-  return pid;
-}
+  if (meanwhile) meanwhile();
 
-/// Wait for every spawned worker; true iff all exited with status 0.
-inline bool wait_all(const std::vector<pid_t>& pids) {
   bool ok = true;
   for (const pid_t pid : pids) {
-    if (pid < 0) {
-      ok = false;
-      continue;
-    }
     int status = 0;
-    if (::waitpid(pid, &status, 0) != pid ||
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid ||
         !(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
       std::fprintf(stderr, "shard worker %d failed (status %d)\n",
                    static_cast<int>(pid), status);
       ok = false;
     }
   }
-  return ok;
+  std::vector<std::string> texts;
+  for (const auto& path : paths) {
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    if (!in) {
+      std::fprintf(stderr, "missing worker output %s\n", path.c_str());
+      ok = false;
+    }
+    texts.push_back(std::move(buf).str());
+    std::remove(path.c_str());
+  }
+  if (!ok) return std::nullopt;
+  return texts;
 }
 
-/// Slurp a worker's output file; empty optional-style: ok=false on error.
-inline bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = std::move(buf).str();
-  return true;
+/// A worker's side: open its output file, let `write` fill it, and return
+/// the worker's exit status — 0 only if every byte reached the file.
+inline int write_worker_output(const std::string& path,
+                               const std::function<void(std::ostream&)>& write) {
+  std::ofstream out{path, std::ios::binary};
+  if (out) write(out);
+  out.flush();
+  if (out) return 0;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return 1;
 }
 
-/// A scratch path for one worker's output, under TMPDIR (or /tmp).
-inline std::string worker_out_path(const std::string& tag, int index) {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-  return dir + "/bgpcmp_shard_" + tag + "_" + std::to_string(::getpid()) + "_" +
-         std::to_string(index) + ".txt";
+/// Every '\n'-terminated line of the worker texts, in order.
+inline std::vector<std::string> lines_of(const std::vector<std::string>& texts) {
+  std::vector<std::string> lines;
+  for (const auto& text : texts) {
+    for (std::size_t pos = 0, eol; (eol = text.find('\n', pos)) != std::string::npos;
+         pos = eol + 1) {
+      lines.push_back(text.substr(pos, eol - pos));
+    }
+  }
+  return lines;
 }
 
 }  // namespace bgpcmp::tools
