@@ -72,9 +72,10 @@ struct ScaleStudyResult {
 
 /// Run one chunk: run_pop_pairs over the chunk's prefixes, folded into fig1
 /// points and a digest. The demand cursor must sit at the chunk's first
-/// prefix (skip() to it); it is left at the chunk's end. Pure in (world, config, windows, chunk) — chunk
-/// order, process boundaries, and thread width never change the bytes —
-/// machine-checked as BGPCMP_PURE_CHUNK (detlint D9/D10).
+/// prefix (skip() to it); it is left at the chunk's end. Pure in (world,
+/// config, windows, chunk) — chunk order, process boundaries, and thread
+/// width never change the bytes — machine-checked as BGPCMP_PURE_CHUNK
+/// (detlint D9/D10).
 BGPCMP_PURE_CHUNK
 [[nodiscard]] ScaleChunkResult run_scale_chunk(const ScaleWorld& world,
                                                const ScaleStudyConfig& config,

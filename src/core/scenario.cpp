@@ -65,7 +65,8 @@ std::unique_ptr<ScaleWorld> ScaleWorld::make(const ScenarioConfig& config) {
 
 std::unique_ptr<ScaleWorld> ScaleWorld::adopt(ScenarioConfig config,
                                               topo::Internet world) {
-  return std::unique_ptr<ScaleWorld>(new ScaleWorld(std::move(config), std::move(world)));
+  return std::unique_ptr<ScaleWorld>(
+      new ScaleWorld(std::move(config), std::move(world)));
 }
 
 Scenario::Scenario(ScenarioConfig cfg, topo::Internet world,

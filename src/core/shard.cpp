@@ -117,7 +117,8 @@ void run_scale_shard(const ScaleWorld& world, const ScaleStudyConfig& config,
   if (!range.empty()) cursor.skip(stream.chunk_prefix_range(range.begin).first);
   out << "stream " << stream.chunk_count() << " chunks\n";
   for (std::size_t c = range.begin; c < range.end; ++c) {
-    out << encode_scale_chunk(run_scale_chunk(world, config, windows, stream, cursor, c));
+    out << encode_scale_chunk(
+        run_scale_chunk(world, config, windows, stream, cursor, c));
   }
 }
 

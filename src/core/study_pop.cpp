@@ -28,12 +28,11 @@ std::vector<TimeWindow> study_windows(const PopStudyConfig& config) {
   return windows;
 }
 
-std::vector<PopPrefixSeries> run_pop_pairs(const ScaleWorld& world,
-                                           const PopStudyConfig& config,
-                                           const std::vector<TimeWindow>& windows,
-                                           std::span<const traffic::ClientPrefix> prefixes,
-                                           traffic::PrefixId first_prefix,
-                                           std::span<const double> popularity) {
+std::vector<PopPrefixSeries> run_pop_pairs(
+    const ScaleWorld& world, const PopStudyConfig& config,
+    const std::vector<TimeWindow>& windows,
+    std::span<const traffic::ClientPrefix> prefixes, traffic::PrefixId first_prefix,
+    std::span<const double> popularity) {
   BGPCMP_CHECK_EQ(popularity.size(), prefixes.size(), "one popularity per prefix");
   const auto& graph = world.internet.graph;
   const topo::CityDb& db = world.internet.city_db();

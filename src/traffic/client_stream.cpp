@@ -23,7 +23,8 @@ ClientStream::ClientStream(const Internet* internet, const ClientBaseConfig& con
     : internet_(internet),
       config_(config),
       chunk_origins_(chunk_origins) {
-  BGPCMP_CHECK_GT(chunk_origins, 0u, "client stream needs at least one origin per chunk");
+  BGPCMP_CHECK_GT(chunk_origins, 0u,
+                  "client stream needs at least one origin per chunk");
   // Walk the generation order (eyeballs, then stubs) accumulating each
   // origin's deterministic prefix count. No RNG is touched here: counts
   // depend only on presence sizes, so offsets are a pure prefix sum.

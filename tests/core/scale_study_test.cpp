@@ -62,11 +62,11 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 constexpr double kQuantiles[] = {0.05, 0.25, 0.5, 0.75, 0.95};
 constexpr double kThresholds[] = {0.0, 2.0, 5.0};
 constexpr std::uint64_t kSeriesDigest = 0xd05b26b33ea565f7ULL;
-constexpr std::uint64_t kQuantileBits[] = {0xc030a1c740000000ULL, 0xbff322b600000000ULL,
-                                         0xbfd96a5000000000ULL, 0xbfaa5e0000000000ULL,
-                                         0x4040868340000000ULL};
-constexpr std::uint64_t kImprovableBits[] = {0x3fcd05c62c1a4bc9ULL, 0x3fb35d7b9435be6dULL,
-                                           0x3fafca2e15ea579eULL};
+constexpr std::uint64_t kQuantileBits[] = {
+    0xc030a1c740000000ULL, 0xbff322b600000000ULL, 0xbfd96a5000000000ULL,
+    0xbfaa5e0000000000ULL, 0x4040868340000000ULL};
+constexpr std::uint64_t kImprovableBits[] = {
+    0x3fcd05c62c1a4bc9ULL, 0x3fb35d7b9435be6dULL, 0x3fafca2e15ea579eULL};
 constexpr std::uint64_t kScaleFingerprint16 = 0x35e4ec7a37e7c045ULL;
 
 TEST(ScaleStudy, BitEqualToEagerStudy) {

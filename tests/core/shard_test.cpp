@@ -122,7 +122,8 @@ std::string worker_output(std::size_t chunk_count, std::vector<std::uint32_t> id
 }
 
 TEST(MergeScaleShards, MergesWorkerOutputsInAnyOrder) {
-  const std::vector<std::string> outputs{worker_output(3, {2}), worker_output(3, {0, 1})};
+  const std::vector<std::string> outputs{worker_output(3, {2}),
+                                         worker_output(3, {0, 1})};
   const auto merged = merge_scale_shards(outputs, {});
   ASSERT_EQ(merged.chunks.size(), 3u);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(merged.chunks[c].chunk, c);
@@ -132,7 +133,8 @@ TEST(MergeScaleShards, RejectsLostTailChunks) {
   // The last worker owned chunks 2 and 3 but its file ends cleanly after
   // chunk 2: every chunk present is well-formed and the ids are contiguous,
   // so only the stream's declared chunk count can catch the loss.
-  const std::vector<std::string> outputs{worker_output(4, {0, 1}), worker_output(4, {2})};
+  const std::vector<std::string> outputs{worker_output(4, {0, 1}),
+                                         worker_output(4, {2})};
   ScopedCheckThrows throws;
   EXPECT_THROW((void)merge_scale_shards(outputs, {}), CheckError);
 }
@@ -141,7 +143,8 @@ TEST(MergeScaleShards, RejectsMissingOrDisagreeingHeaders) {
   ScopedCheckThrows throws;
   const std::vector<std::string> headless{encode_scale_chunk(sample_chunk(0))};
   EXPECT_THROW((void)merge_scale_shards(headless, {}), CheckError);
-  const std::vector<std::string> disagree{worker_output(2, {0}), worker_output(3, {1, 2})};
+  const std::vector<std::string> disagree{worker_output(2, {0}),
+                                          worker_output(3, {1, 2})};
   EXPECT_THROW((void)merge_scale_shards(disagree, {}), CheckError);
   EXPECT_THROW((void)merge_scale_shards({}, {}), CheckError);
 }

@@ -65,7 +65,8 @@ core::FingerprintOptions options_for(const core::RegisteredScenario& s,
 
 /// "<scenario> <fingerprint>": one registry unit's line in a sharded audit.
 std::string fingerprint_line(const core::RegisteredScenario& s, bool skip_studies) {
-  const auto hash = core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
+  const auto hash =
+      core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
   char line[96];
   std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
                 static_cast<unsigned long long>(hash));
@@ -87,15 +88,11 @@ int run_shard_worker(int shards, int worker, const std::string& out_path,
 /// --shards parent: run 1 in this process, run 2 across forked workers.
 int run_sharded_audit(int argc, char** argv, int shards, bool skip_studies) {
   const auto registry = core::scenario_registry();
-  // Run 1, computed while the workers run: the in-process reference.
+  // Run 1: the in-process reference.
   std::vector<std::string> local;
-  const auto texts =
-      tools::run_workers({argv, argv + argc}, shards, "audit", "--shard-worker", "--shard-out",
-                         [&] {
-                           for (const auto& s : registry) {
-                             local.push_back(fingerprint_line(s, skip_studies));
-                           }
-                         });
+  for (const auto& s : registry) local.push_back(fingerprint_line(s, skip_studies));
+  const auto texts = tools::run_workers({argv, argv + argc}, shards, "audit",
+                                        "--shard-worker", "--shard-out");
   if (!texts) return 1;
   const std::vector<std::string> sharded = tools::lines_of(*texts);
   if (sharded.size() != registry.size()) {

@@ -84,7 +84,9 @@ std::string unit_line(const Unit& unit) {
 int run_worker(const Options& opt, const std::vector<Unit>& units) {
   const auto range = core::shard_range(units.size(), opt.shards, opt.worker);
   return tools::write_worker_output(opt.out_path, [&](std::ostream& out) {
-    for (std::size_t u = range.begin; u < range.end; ++u) out << unit_line(units[u]) << '\n';
+    for (std::size_t u = range.begin; u < range.end; ++u) {
+      out << unit_line(units[u]) << '\n';
+    }
   });
 }
 

@@ -24,15 +24,13 @@ namespace bgpcmp::tools {
 
 /// Re-exec this binary (/proc/self/exe) as `shards` workers: worker w runs
 /// with `args` (argv[0] first; usually the parent's own argv) plus
-/// `worker_flag w out_flag <file>`.
-/// Runs `meanwhile` (if any) in the parent while they work, then waits for
-/// all of them and returns each worker's output text in worker order, or
-/// nullopt (with the reason on stderr) if any worker failed or left no
-/// output. Every worker file is removed on every path.
+/// `worker_flag w out_flag <file>`. Waits for all of them and returns each
+/// worker's output text in worker order, or nullopt (with the reason on
+/// stderr) if any worker failed or left no output. Every worker file is
+/// removed on every path.
 inline std::optional<std::vector<std::string>> run_workers(
     const std::vector<std::string>& args, int shards, const std::string& tag,
-    const char* worker_flag = "--worker", const char* out_flag = "--out",
-    const std::function<void()>& meanwhile = {}) {
+    const char* worker_flag = "--worker", const char* out_flag = "--out") {
   const char* tmp = std::getenv("TMPDIR");
   const std::string dir = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
   std::vector<std::string> paths;
@@ -54,7 +52,6 @@ inline std::optional<std::vector<std::string>> run_workers(
     }
     pids.push_back(pid);
   }
-  if (meanwhile) meanwhile();
 
   bool ok = true;
   for (const pid_t pid : pids) {
