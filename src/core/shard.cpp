@@ -129,8 +129,9 @@ ScaleStudyResult merge_scale_shards(std::span<const std::string> outputs,
   for (const std::string& text : outputs) {
     std::size_t declared = 0;
     int eol = -1;
-    std::sscanf(text.c_str(), "stream %zu chunks%n", &declared, &eol);
-    BGPCMP_CHECK(eol > 0 && text[eol] == '\n',
+    const int fields =
+        std::sscanf(text.c_str(), "stream %zu chunks%n", &declared, &eol);
+    BGPCMP_CHECK(fields == 1 && eol > 0 && text[eol] == '\n',
                  "shard worker output without a stream header");
     BGPCMP_CHECK(!chunk_count || *chunk_count == declared,
                  "shard workers disagree on the stream's chunk count");

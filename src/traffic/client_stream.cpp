@@ -116,9 +116,7 @@ DemandStream::DemandStream(const DemandConfig& config)
     : config_(config), rng_(Rng{config.seed}.fork("popularity")) {}
 
 double DemandStream::draw() {
-  // One serial draw per prefix. User weight modulated by this heavy-tailed
-  // factor: big metros still dominate, but some small prefixes are
-  // disproportionately hot.
+  // One serial draw per prefix.
   return rng_.pareto(1.0, 1.0 / config_.zipf_exponent);
 }
 
@@ -129,6 +127,8 @@ std::vector<double> DemandStream::next(std::span<const ClientPrefix> prefixes,
   std::vector<double> out;
   out.reserve(prefixes.size());
   for (const ClientPrefix& p : prefixes) {
+    // User weight modulated by a heavy-tailed per-prefix factor: big metros
+    // still dominate, but some small prefixes are disproportionately hot.
     const double skew = draw();
     out.push_back(p.user_weight * std::min(skew, 50.0));
   }

@@ -11,8 +11,6 @@ namespace bgpcmp::traffic {
 
 ClientBase ClientBase::generate(const Internet& internet,
                                 const ClientBaseConfig& config) {
-  // SIZE_MAX origins per chunk: the whole population is chunk 0, moved (not
-  // copied) into the base.
   return restore(ClientStream{&internet, config, SIZE_MAX}.chunk(0).prefixes);
 }
 

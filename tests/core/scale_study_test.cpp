@@ -1,7 +1,6 @@
-// The streaming scale study against the eager study: same world, same
-// config, bit-equal results. This is the contract that lets the 100x path
-// replace run_pop_study — chunking, chunk size, and process boundaries must
-// be invisible in the bytes.
+// The streamed and the one-chunk (run_pop_study) runs of Study 1: same world,
+// same config, bit-equal results, both pinned to golden values. Chunking,
+// chunk size, and process boundaries must be invisible in the bytes.
 #include "bgpcmp/core/scale_study.h"
 
 #include <gtest/gtest.h>

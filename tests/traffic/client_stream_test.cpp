@@ -1,9 +1,8 @@
-// Golden equivalence of the streaming client/demand generator against the
-// eager ClientBase/DemandModel path (client_stream.h). The acceptance pin of
-// the scale layer: concatenating every chunk of the stream must reproduce the
-// eager bytes exactly — at the default 1x world and at 4x — for any chunk
-// size, for chunks generated out of order, and for a demand cursor that
-// skips into the middle of the stream.
+// Golden pins of the client/demand generator (client_stream.h). The eager
+// ClientBase/DemandModel and the concatenation of every chunk of the stream
+// must reproduce the committed digests exactly — at the default 1x world and
+// at 4x — for any chunk size, for chunks generated out of order, and for a
+// demand cursor that skips into the middle of the stream.
 #include "bgpcmp/traffic/client_stream.h"
 
 #include <gtest/gtest.h>
