@@ -9,16 +9,15 @@
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/study_wan.h"
 #include "bgpcmp/core/tail.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/measure/campaign.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
   core::PopStudyConfig study_cfg;
-  study_cfg.days = argc > 1 ? std::stod(argv[1]) : 3.0;
+  study_cfg.days = tools::bench_arg(argc, argv, "days", 3.0);
 
   std::fputs(core::banner("E10: beyond median performance").c_str(), stdout);
   auto scenario = core::Scenario::make();

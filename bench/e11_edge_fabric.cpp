@@ -23,6 +23,7 @@
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/cdf.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
@@ -39,8 +40,7 @@ struct PolicyStats {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
-  const double days = argc > 1 ? std::stod(argv[1]) : 2.0;
+  const double days = tools::bench_arg(argc, argv, "days", 2.0);
   std::fputs(core::banner("E11: static BGP vs Edge Fabric vs latency oracle")
                  .c_str(),
              stdout);

@@ -11,12 +11,12 @@
 #include "bgpcmp/core/availability.h"
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
-#include "bgpcmp/exec/thread_pool.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
+  tools::bench_flags(argc, argv);
   std::fputs(core::banner("E13: site failure — anycast vs DNS redirection "
                           "availability")
                  .c_str(),

@@ -19,12 +19,12 @@
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/measure/http.h"
 #include "bgpcmp/stats/cdf.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
-  const double days = argc > 1 ? std::stod(argv[1]) : 2.0;
+  const double days = tools::bench_arg(argc, argv, "days", 2.0);
   std::fputs(core::banner("E14: available bandwidth — BGP vs best alternate "
                           "(the paper's unshown figure)")
                  .c_str(),

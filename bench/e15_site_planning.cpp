@@ -5,13 +5,13 @@
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/site_planning.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
+  tools::bench_flags(argc, argv);
   std::fputs(core::banner("E15: CDN site planning — density sweep and "
                           "site-addition prediction")
                  .c_str(),

@@ -15,15 +15,15 @@
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/quantile.h"
 #include "bgpcmp/wan/tiers.h"
 #include "bgpcmp/wan/transit_wan.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
+  tools::bench_flags(argc, argv);
   std::fputs(core::banner("E16: is public-Internet performance to the cloud "
                           "special, or valley-free physics?")
                  .c_str(),

@@ -14,6 +14,7 @@
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/summary.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
@@ -30,8 +31,7 @@ struct SeedHeadlines {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
-  const double days = argc > 1 ? std::stod(argv[1]) : 1.0;
+  const double days = tools::bench_arg(argc, argv, "days", 1.0);
   std::fputs(core::banner("E17: headline robustness across master seeds").c_str(),
              stdout);
 

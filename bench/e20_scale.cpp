@@ -43,6 +43,7 @@
 #include "bgpcmp/core/study_pop.h"
 #include "bgpcmp/topology/topology_gen.h"
 #include "bgpcmp/topology/world_snapshot.h"
+#include "../tools/flags.h"
 #include "../tools/shard_util.h"
 #include "rss_probe.h"
 
@@ -62,7 +63,7 @@ core::ScenarioConfig scaled_config(std::int64_t scale) {
 
 /// One evaluated 15-minute window (0.011 days ≈ 15.8 simulated minutes),
 /// streamed at the default chunk size. Shared by the stream, eager, and
-/// sharded phases and by the --scale-worker mode, so all four study phases
+/// sharded phases and by the --worker mode, so all four study phases
 /// do the identical simulated work.
 core::ScaleStudyConfig bench_study() {
   core::ScaleStudyConfig cfg;
@@ -162,7 +163,7 @@ void BM_StudyWindowEager(benchmark::State& state) {
 }
 BENCHMARK(BM_StudyWindowEager)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
 
-// End-to-end sharded run: fork/exec two --scale-worker copies of this
+// End-to-end sharded run: fork/exec two --worker copies of this
 // binary, each builds the world and streams its contiguous chunk block,
 // parent merges the wire format and fingerprints. worker_peak_rss_mb is the
 // max over worker processes — at scale it should sit near
@@ -173,9 +174,9 @@ void BM_ShardedRun(benchmark::State& state) {
   const auto windows = core::study_windows(bench_study().study);
   for (auto _ : state) {
     const auto texts = tools::run_workers(
-        {"e20_scale", "--scale-shards", std::to_string(kShards), "--scale",
+        {"e20_scale", "--shards", std::to_string(kShards), "--scale",
          std::to_string(scale)},
-        kShards, "e20", "--scale-worker", "--scale-out");
+        kShards, "e20");
     if (!texts) {
       state.SkipWithError("shard worker failed");
       return;
@@ -188,34 +189,24 @@ void BM_ShardedRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedRun)->Arg(10)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
 
-/// --scale-worker mode: build the world, stream one contiguous block of
-/// chunks, write the wire format to --scale-out. Mirrors `bgpcmp shard`'s
-/// worker but with E20's fixed study config, so the benchmark measures
-/// exactly the phases it names.
+/// Worker mode (--worker, appended by tools::run_workers): build the world,
+/// stream one contiguous block of chunks, write the wire format to --out.
+/// Mirrors `bgpcmp shard`'s worker but with E20's fixed study config, so the
+/// benchmark measures exactly the phases it names.
 int run_scale_worker(int argc, char** argv) {
-  int worker = -1;
-  int shards = 0;
-  std::int64_t scale = 1;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale-worker" && i + 1 < argc) {
-      worker = std::atoi(argv[++i]);
-    } else if (arg == "--scale-shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-    } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atoll(argv[++i]);
-    } else if (arg == "--scale-out" && i + 1 < argc) {
-      out_path = argv[++i];
-    }
+  const tools::Flags flags{
+      {"e20_scale", "usage: e20_scale --worker W --shards N --scale S --out PATH\n",
+       {"worker", "shards", "scale", "out"}},
+      argc, argv};
+  const int shards = flags.number("shards", 1);
+  const int worker = flags.number("worker", 0, 0);
+  const std::string out = flags.text("out");
+  if (worker >= shards || out.empty()) {
+    flags.fail("--worker needs --shards, an index below it, and --out");
   }
-  if (worker < 0 || shards < 1 || worker >= shards || out_path.empty()) {
-    std::fprintf(stderr, "bad --scale-worker invocation\n");
-    return 2;
-  }
-  const auto world = core::ScaleWorld::make(scaled_config(scale));
-  return tools::write_worker_output(out_path, [&](std::ostream& out) {
-    core::run_scale_shard(*world, bench_study(), shards, worker, out);
+  const auto world = core::ScaleWorld::make(scaled_config(flags.number("scale", 1)));
+  return tools::write_worker_output(out, [&](std::ostream& file) {
+    core::run_scale_shard(*world, bench_study(), shards, worker, file);
   });
 }
 
@@ -223,7 +214,7 @@ int run_scale_worker(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--scale-worker") {
+    if (std::string(argv[i]) == "--worker") {
       return run_scale_worker(argc, argv);
     }
   }

@@ -8,15 +8,14 @@
 
 #include "bgpcmp/core/footprint.h"
 #include "bgpcmp/core/report.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
   core::FootprintConfig cfg;
-  cfg.study.days = argc > 1 ? std::stod(argv[1]) : 2.0;
+  cfg.study.days = tools::bench_arg(argc, argv, "days", 2.0);
 
   std::fputs(core::banner("E7: reduced peering footprint ablation").c_str(), stdout);
   const double fractions[] = {1.0, 0.75, 0.5, 0.25, 0.1};

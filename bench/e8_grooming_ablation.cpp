@@ -5,15 +5,15 @@
 
 #include "bgpcmp/core/grooming_study.h"
 #include "bgpcmp/core/report.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
   core::GroomingStudyConfig cfg;
-  if (argc > 1) cfg.sample_clients = std::stoi(argv[1]);
+  cfg.sample_clients =
+      tools::bench_arg(argc, argv, "sample_clients", cfg.sample_clients);
 
   std::fputs(core::banner("E8: anycast grooming — nature vs nurture").c_str(),
              stdout);

@@ -6,13 +6,13 @@
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/singlewan.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
+  tools::bench_flags(argc, argv);
   std::fputs(core::banner("E9: single-WAN fraction vs latency inflation").c_str(),
              stdout);
   auto scenario = core::Scenario::make(core::ScenarioConfig::google_like());

@@ -11,14 +11,13 @@
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/study_pop.h"
-#include "bgpcmp/exec/thread_pool.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
   core::PopStudyConfig study_cfg;
-  if (argc > 1) study_cfg.days = std::stod(argv[1]);
+  study_cfg.days = tools::bench_arg(argc, argv, "days", study_cfg.days);
 
   std::fputs(core::banner("Figure 2: peering vs transit, private vs public exchange")
                  .c_str(),

@@ -11,12 +11,12 @@
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/study_anycast.h"
-#include "bgpcmp/exec/thread_pool.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
+  tools::bench_flags(argc, argv);
   std::fputs(core::banner("Figure 3: anycast vs best unicast front-end (CCDF of "
                           "requests)")
                  .c_str(),

@@ -13,15 +13,14 @@
 #include "bgpcmp/core/report.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/core/study_wan.h"
-#include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/table.h"
+#include "../tools/flags.h"
 
 using namespace bgpcmp;
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
   core::WanStudyConfig cfg;
-  if (argc > 1) cfg.campaign.days = std::stod(argv[1]);
+  cfg.campaign.days = tools::bench_arg(argc, argv, "days", cfg.campaign.days);
 
   std::fputs(core::banner("Figure 5: Standard - Premium tier median latency by "
                           "country")

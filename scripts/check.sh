@@ -115,6 +115,8 @@ for b in build/bench/*; do
     # is scripts/bench_scale.sh.
     e20_*) "$b" --benchmark_filter='/10$' ;;
     micro_*|e1[89]_*) "$b" ;;  # google-benchmark CLI: no positional days argument
+    # No positional argument: tools/flags.h rejects one instead of ignoring it.
+    e9_*|e12_*|e15_*|e16_*|fig3_*|fig4_*) "$b" ;;
     *) "$b" ${BENCH_ARG:+"$BENCH_ARG"} ;;
   esac
 done

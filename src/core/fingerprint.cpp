@@ -16,6 +16,7 @@
 #include "bgpcmp/core/study_anycast.h"
 #include "bgpcmp/core/study_pop.h"
 #include "bgpcmp/core/study_wan.h"
+#include "bgpcmp/netbase/fnv.h"
 #include "bgpcmp/stats/table.h"
 #include "bgpcmp/wan/tiers.h"
 
@@ -312,19 +313,15 @@ std::string render_serving_tables(const ScenarioConfig& config) {
 }  // namespace
 
 std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  Fnv1a hash;
+  hash.bytes(data);
+  return hash.value();
 }
 
-std::string render_result_tables(const ScenarioConfig& config,
-                                 const FingerprintOptions& options) {
-  if (options.serving) return render_serving_tables(config);
-  if (options.churn) return render_churn_tables(config);
-  if (options.topology_only) {
+std::string render_result_tables(const ScenarioConfig& config, FingerprintKind kind) {
+  if (kind == FingerprintKind::Serving) return render_serving_tables(config);
+  if (kind == FingerprintKind::Churn) return render_churn_tables(config);
+  if (kind == FingerprintKind::Topology) {
     // World generation only — no provider, clients, or studies. The canonical
     // structural hash stands in for the table dumps a full scenario gets.
     const auto internet = topo::build_internet(config.internet);
@@ -345,7 +342,7 @@ std::string render_result_tables(const ScenarioConfig& config,
   append_routes(*scenario, out);
   append_catchment(*scenario, cdn, out);
   append_demand_and_latency(*scenario, cdn, out);
-  if (options.run_studies) {
+  if (kind == FingerprintKind::Studies) {
     append_pop_study(*scenario, out);
     append_anycast_study(*scenario, cdn, out);
     append_wan_study(*scenario, out);
@@ -353,9 +350,8 @@ std::string render_result_tables(const ScenarioConfig& config,
   return out;
 }
 
-std::uint64_t scenario_fingerprint(const ScenarioConfig& config,
-                                   const FingerprintOptions& options) {
-  return fnv1a64(render_result_tables(config, options));
+std::uint64_t scenario_fingerprint(const ScenarioConfig& config, FingerprintKind kind) {
+  return fnv1a64(render_result_tables(config, kind));
 }
 
 }  // namespace bgpcmp::core

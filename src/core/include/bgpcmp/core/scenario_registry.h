@@ -7,6 +7,7 @@
 #include <span>
 #include <string_view>
 
+#include "bgpcmp/core/fingerprint.h"
 #include "bgpcmp/core/scenario.h"
 
 namespace bgpcmp::core {
@@ -15,23 +16,10 @@ struct RegisteredScenario {
   std::string_view name;
   std::string_view description;
   ScenarioConfig (*config)();
-  /// Whether fingerprinting should also run the (scaled-down) paper studies
-  /// on this scenario, not just the world tables. Study runs dominate the
-  /// auditor's runtime, so seed-sweep entries keep this off.
-  bool fingerprint_studies = true;
-  /// Fingerprint only the generated world (FingerprintOptions::topology_only):
-  /// no provider, clients, or studies. Lets scaled-up topologies sit under
-  /// the determinism gate without a full scenario's cost.
-  bool topology_only = false;
-  /// Fingerprint a churn run (FingerprintOptions::churn): deterministic event
-  /// waves through RouteCache::reconverge, so the incremental delta paths sit
-  /// under the determinism gate — including --compare-threads.
-  bool churn = false;
-  /// Fingerprint a serving run (FingerprintOptions::serving): build a
-  /// ServingWorld, snapshot it, load it back, and answer the same query batch
-  /// from both — snapshot codec, warm install, and the batched query path all
-  /// sit under the determinism gate, including --compare-threads.
-  bool serving = false;
+  /// What the determinism audit renders for this scenario. Study runs
+  /// dominate the auditor's runtime, so seed-sweep entries render the world
+  /// tables only.
+  FingerprintKind kind = FingerprintKind::Studies;
 };
 
 /// All registered scenarios, in a fixed, documented order.

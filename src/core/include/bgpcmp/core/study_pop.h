@@ -75,6 +75,28 @@ struct PopStudyResult {
   [[nodiscard]] double improvable_traffic_fraction(double threshold_ms) const;
 };
 
+/// Fig 1's (diff, volume) points of `series` over `window_count` windows,
+/// in pair-major, window-minor order; `bound` puts a CI bound in place of
+/// the diff. The streaming study stores exactly these, chunk by chunk.
+[[nodiscard]] std::vector<stats::Weighted> fig1_points(
+    std::span<const PopPrefixSeries> series, std::size_t window_count,
+    PopStudyResult::Fig1Bound bound = PopStudyResult::Fig1Bound::Point);
+
+/// The §3.1 headline fold over Fig-1 points: the share of their weight whose
+/// diff is at least `threshold_ms`. Points are added span by span in
+/// pair-major, window-minor order. Both Study-1 results fold through this,
+/// so their fractions are the same additions in the same order: bit-equal.
+struct ImprovableFold {
+  double threshold_ms = 0.0;
+  double improvable = 0.0;
+  double total = 0.0;
+
+  void add(std::span<const stats::Weighted> points);
+  [[nodiscard]] double fraction() const {
+    return total > 0.0 ? improvable / total : 0.0;
+  }
+};
+
 /// The evaluated windows of a study config (strided 15-minute grid) — shared
 /// by the eager study, the streaming scale study, and shard workers.
 [[nodiscard]] std::vector<TimeWindow> study_windows(const PopStudyConfig& config);

@@ -63,14 +63,9 @@ ScaleChunkResult run_scale_chunk(const ScaleWorld& world,
   out.chunk = static_cast<std::uint32_t>(chunk);
   out.pairs = static_cast<std::uint32_t>(series.size());
   std::string bytes;
-  for (const PopPrefixSeries& s : series) {
-    append_series(bytes, s);
-    for (std::size_t w = 0; w < windows.size(); ++w) {
-      out.fig1.push_back({static_cast<double>(s.diff(w)),
-                          static_cast<double>(s.volume[w])});
-    }
-  }
+  for (const PopPrefixSeries& s : series) append_series(bytes, s);
   out.series_digest = fnv1a64(bytes);
+  out.fig1 = fig1_points(series, windows.size());
   return out;
 }
 
@@ -91,25 +86,16 @@ ScaleStudyResult run_scale_study(const ScaleWorld& world,
 
 stats::WeightedCdf ScaleStudyResult::fig1_cdf() const {
   stats::WeightedCdf cdf;
-  for (const auto& chunk : chunks) {
-    for (const auto& obs : chunk.fig1) cdf.add(obs.value, obs.weight);
-  }
+  for (const auto& chunk : chunks) cdf.add_all(chunk.fig1);
   return cdf;
 }
 
 double ScaleStudyResult::improvable_traffic_fraction(double threshold_ms) const {
-  // One flat pass in global pair order: the identical addition sequence to
-  // PopStudyResult::improvable_traffic_fraction, so the fractions are
-  // bit-equal, not merely close.
-  double improvable = 0.0;
-  double total = 0.0;
-  for (const auto& chunk : chunks) {
-    for (const auto& obs : chunk.fig1) {
-      total += obs.weight;
-      if (obs.value >= threshold_ms) improvable += obs.weight;
-    }
-  }
-  return total > 0.0 ? improvable / total : 0.0;
+  // Chunk by chunk in global pair order: the identical addition sequence to
+  // PopStudyResult::improvable_traffic_fraction.
+  ImprovableFold fold{threshold_ms};
+  for (const auto& chunk : chunks) fold.add(chunk.fig1);
+  return fold.fraction();
 }
 
 std::uint64_t ScaleStudyResult::fingerprint() const {

@@ -17,28 +17,23 @@ ScenarioConfig topology_4x() {
   return cfg;
 }
 
-ScenarioConfig churn_world() { return ScenarioConfig{}; }
-ScenarioConfig serving_world() { return ScenarioConfig{}; }
-
 constexpr std::array<RegisteredScenario, 8> kRegistry{{
     {"facebook_like", "Study 1: PNI-rich edge provider (default config)",
-     &ScenarioConfig::facebook_like, /*fingerprint_studies=*/true},
+     &ScenarioConfig::facebook_like, FingerprintKind::Studies},
     {"microsoft_like", "Study 2: 2015-era anycast CDN, sparse peering",
-     &ScenarioConfig::microsoft_like, /*fingerprint_studies=*/true},
+     &ScenarioConfig::microsoft_like, FingerprintKind::Studies},
     {"google_like", "Study 3: hyperscale cloud with a large WAN edge",
-     &ScenarioConfig::google_like, /*fingerprint_studies=*/true},
+     &ScenarioConfig::google_like, FingerprintKind::Studies},
     {"master_seed_7", "seed-sweep world derived from master seed 7",
-     &master_seed_7, /*fingerprint_studies=*/false},
+     &master_seed_7, FingerprintKind::World},
     {"master_seed_456", "seed-sweep world derived from master seed 456",
-     &master_seed_456, /*fingerprint_studies=*/false},
+     &master_seed_456, FingerprintKind::World},
     {"topology_4x", "4x-scale world, topology generation only",
-     &topology_4x, /*fingerprint_studies=*/false, /*topology_only=*/true},
+     &topology_4x, FingerprintKind::Topology},
     {"churn_default", "event waves through the incremental re-convergence path",
-     &churn_world, /*fingerprint_studies=*/false, /*topology_only=*/false,
-     /*churn=*/true},
+     &ScenarioConfig::facebook_like, FingerprintKind::Churn},
     {"serving_default", "snapshot round-trip and batched queries, fresh vs loaded",
-     &serving_world, /*fingerprint_studies=*/false, /*topology_only=*/false,
-     /*churn=*/false, /*serving=*/true},
+     &ScenarioConfig::facebook_like, FingerprintKind::Serving},
 }};
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "bgpcmp/core/snapshot.h"
 
-#include <bit>
 #include <utility>
 
 #include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/fnv.h"
 #include "bgpcmp/topology/world_snapshot.h"
 
 namespace bgpcmp::core {
@@ -13,31 +13,12 @@ constexpr std::uint32_t kServingSections =
     topo::kSectionWorld | topo::kSectionProvider | topo::kSectionClients |
     topo::kSectionTables;
 
-/// Incremental FNV-1a over typed fields; the declaration-order walk below is
-/// the fingerprint's definition.
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void byte(unsigned char b) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(std::string_view s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-  void boolean(bool v) { byte(v ? 1 : 0); }
-};
-
 }  // namespace
 
 std::uint64_t scenario_config_fingerprint(const ScenarioConfig& config) {
-  Fnv fp;
+  // FNV-1a over typed fields; this declaration-order walk is the
+  // fingerprint's definition.
+  Fnv1a fp;
   // internet: the existing non-seed knob fingerprint (with its own field-count
   // tripwire test) plus the seed.
   fp.u64(topo::internet_config_fingerprint(config.internet));
@@ -55,7 +36,7 @@ std::uint64_t scenario_config_fingerprint(const ScenarioConfig& config) {
   fp.f64(p.transit_peer_scale);
   fp.f64(p.public_session_density);
   fp.u64(p.pni_max_links);
-  fp.i64(p.transit_provider_count);
+  fp.u64(static_cast<std::uint64_t>(p.transit_provider_count));
   fp.u64(p.transit_session_pops);
   fp.f64(p.pni_capacity_gbps);
   fp.f64(p.public_capacity_gbps);
@@ -64,7 +45,7 @@ std::uint64_t scenario_config_fingerprint(const ScenarioConfig& config) {
   // clients.
   const auto& c = config.clients;
   fp.u64(c.seed);
-  fp.i64(c.prefixes_per_eyeball_city);
+  fp.u64(static_cast<std::uint64_t>(c.prefixes_per_eyeball_city));
   fp.boolean(c.include_stubs);
   fp.f64(c.access_base_rtt_min_ms);
   fp.f64(c.access_base_rtt_max_ms);
@@ -91,7 +72,7 @@ std::uint64_t scenario_config_fingerprint(const ScenarioConfig& config) {
   fp.f64(g.access_diurnal_peak_ms);
   // latency.
   fp.f64(config.latency.per_hop_processing_ms);
-  return fp.h;
+  return fp.value();
 }
 
 void save_serving_snapshot(const std::string& path, const Scenario& scenario,

@@ -88,16 +88,33 @@ PopStudyResult run_pop_study(const Scenario& scenario, const PopStudyConfig& con
   return result;
 }
 
-stats::WeightedCdf PopStudyResult::fig1_cdf(Fig1Bound bound) const {
-  stats::WeightedCdf cdf;
+std::vector<stats::Weighted> fig1_points(std::span<const PopPrefixSeries> series,
+                                         std::size_t window_count,
+                                         PopStudyResult::Fig1Bound bound) {
+  using Bound = PopStudyResult::Fig1Bound;
+  std::vector<stats::Weighted> points;
+  points.reserve(series.size() * window_count);
   for (const auto& s : series) {
-    for (std::size_t w = 0; w < windows.size(); ++w) {
-      double value = s.diff(w);
-      if (bound == Fig1Bound::Lower) value = s.ci_lower[w];
-      if (bound == Fig1Bound::Upper) value = s.ci_upper[w];
-      cdf.add(value, s.volume[w]);
+    for (std::size_t w = 0; w < window_count; ++w) {
+      const float value = bound == Bound::Lower   ? s.ci_lower[w]
+                          : bound == Bound::Upper ? s.ci_upper[w]
+                                                  : s.diff(w);
+      points.push_back({value, s.volume[w]});
     }
   }
+  return points;
+}
+
+void ImprovableFold::add(std::span<const stats::Weighted> points) {
+  for (const auto& p : points) {
+    total += p.weight;
+    if (p.value >= threshold_ms) improvable += p.weight;
+  }
+}
+
+stats::WeightedCdf PopStudyResult::fig1_cdf(Fig1Bound bound) const {
+  stats::WeightedCdf cdf;
+  cdf.add_all(fig1_points(series, windows.size(), bound));
   return cdf;
 }
 
@@ -147,15 +164,9 @@ stats::WeightedCdf PopStudyResult::fig2_private_vs_public() const {
 }
 
 double PopStudyResult::improvable_traffic_fraction(double threshold_ms) const {
-  double improvable = 0.0;
-  double total = 0.0;
-  for (const auto& s : series) {
-    for (std::size_t w = 0; w < windows.size(); ++w) {
-      total += s.volume[w];
-      if (s.diff(w) >= threshold_ms) improvable += s.volume[w];
-    }
-  }
-  return total > 0.0 ? improvable / total : 0.0;
+  ImprovableFold fold{threshold_ms};
+  fold.add(fig1_points(series, windows.size()));
+  return fold.fraction();
 }
 
 }  // namespace bgpcmp::core

@@ -82,12 +82,6 @@ void set_thread_count(int n);
 /// Width of the global pool (creating it if needed).
 [[nodiscard]] int thread_count();
 
-/// Consume a `--threads N` argument from an argv-style vector (anywhere
-/// after argv[0]) and apply it via set_thread_count. argc/argv are compacted
-/// in place so downstream positional parsing is undisturbed. Benches and
-/// tools call this first thing in main().
-void apply_thread_flag(int& argc, char** argv);
-
 /// parallel_for on the global pool.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 

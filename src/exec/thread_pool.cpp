@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
-#include <string>
 #include <thread>
 
 #include "bgpcmp/netbase/check.h"
@@ -203,19 +202,6 @@ void set_thread_count(int n) {
 }
 
 int thread_count() { return global_pool().size(); }
-
-void apply_thread_flag(int& argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view{argv[i]} != "--threads") continue;
-    BGPCMP_CHECK(i + 1 < argc, "--threads requires a value");
-    const int n = std::atoi(argv[i + 1]);
-    BGPCMP_CHECK_GT(n, 0, "--threads requires a positive integer");
-    set_thread_count(n);
-    for (int j = i + 2; j < argc; ++j) argv[j - 2] = argv[j];
-    argc -= 2;
-    return;
-  }
-}
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   global_pool().parallel_for(n, body);

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/fnv.h"
 
 namespace bgpcmp {
 
@@ -20,12 +21,9 @@ std::uint64_t splitmix(std::uint64_t x) {
 // FNV-1a over the label, mixed with the parent seed, so fork("a") and
 // fork("b") are decorrelated and stable across runs.
 std::uint64_t derive_seed(std::uint64_t parent, std::string_view label) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ parent;
-  for (const char c : label) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return splitmix(h);
+  Fnv1a h{Fnv1a::kOffset ^ parent};
+  h.bytes(label);
+  return splitmix(h.value());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #include "bgpcmp/topology/topology_gen.h"
 
 #include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/fnv.h"
 #include "bgpcmp/topology/build_util.h"
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -78,97 +78,70 @@ Region sample_region(const RegionTables& tables, Rng& rng) {
   return kRegions[rng.weighted_index(std::span<const double>{tables.totals})];
 }
 
-/// Streaming FNV-1a 64 over raw bytes, with fixed-width encodings so the
-/// hash is layout- and platform-stable.
-class Fnv1a {
- public:
-  void mix_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ ^= b[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix_bytes(&v, sizeof v); }
-  void mix_double(double d) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    mix_u64(bits);
-  }
-  void mix_str(std::string_view s) {
-    mix_u64(s.size());
-    mix_bytes(s.data(), s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 }  // namespace
 
 std::uint64_t internet_fingerprint(const Internet& net) {
   Fnv1a h;
   const AsGraph& g = net.graph;
-  h.mix_u64(g.as_count());
-  h.mix_u64(g.edge_count());
-  h.mix_u64(g.link_count());
+  h.u64(g.as_count());
+  h.u64(g.edge_count());
+  h.u64(g.link_count());
   for (AsIndex i = 0; i < g.as_count(); ++i) {
     const AsNode& n = g.node(i);
-    h.mix_u64(n.asn.value());
-    h.mix_u64(static_cast<std::uint64_t>(n.cls));
-    h.mix_str(n.name);
-    h.mix_u64(n.hub);
-    h.mix_double(n.backbone_inflation);
-    h.mix_u64(n.presence.size());
-    for (const CityId c : n.presence) h.mix_u64(c);
-    h.mix_u64(n.edges.size());
-    for (const EdgeId e : n.edges) h.mix_u64(e);
+    h.u64(n.asn.value());
+    h.u64(static_cast<std::uint64_t>(n.cls));
+    h.str(n.name);
+    h.u64(n.hub);
+    h.f64(n.backbone_inflation);
+    h.u64(n.presence.size());
+    for (const CityId c : n.presence) h.u64(c);
+    h.u64(n.edges.size());
+    for (const EdgeId e : n.edges) h.u64(e);
   }
   for (const AsEdge& e : g.edges()) {
-    h.mix_u64(e.a);
-    h.mix_u64(e.b);
-    h.mix_u64(static_cast<std::uint64_t>(e.rel));
-    h.mix_u64(e.links.size());
-    for (const LinkId l : e.links) h.mix_u64(l);
+    h.u64(e.a);
+    h.u64(e.b);
+    h.u64(static_cast<std::uint64_t>(e.rel));
+    h.u64(e.links.size());
+    for (const LinkId l : e.links) h.u64(l);
   }
   for (const InterconnectLink& l : g.links()) {
-    h.mix_u64(l.edge);
-    h.mix_u64(l.city);
-    h.mix_u64(static_cast<std::uint64_t>(l.kind));
-    h.mix_double(l.capacity.value());
+    h.u64(l.edge);
+    h.u64(l.city);
+    h.u64(static_cast<std::uint64_t>(l.kind));
+    h.f64(l.capacity.value());
   }
-  h.mix_u64(net.ixps.size());
+  h.u64(net.ixps.size());
   for (const Ixp& x : net.ixps) {
-    h.mix_str(x.name);
-    h.mix_u64(x.city);
-    h.mix_u64(x.members.size());
-    for (const AsIndex m : x.members) h.mix_u64(m);
+    h.str(x.name);
+    h.u64(x.city);
+    h.u64(x.members.size());
+    for (const AsIndex m : x.members) h.u64(m);
   }
   for (const auto* v : {&net.tier1s, &net.transits, &net.eyeballs, &net.stubs}) {
-    h.mix_u64(v->size());
-    for (const AsIndex i : *v) h.mix_u64(i);
+    h.u64(v->size());
+    for (const AsIndex i : *v) h.u64(i);
   }
   return h.value();
 }
 
 std::uint64_t internet_config_fingerprint(const InternetConfig& config) {
   Fnv1a h;
-  h.mix_u64(static_cast<std::uint64_t>(config.tier1_count));
-  h.mix_u64(static_cast<std::uint64_t>(config.transit_count));
-  h.mix_u64(static_cast<std::uint64_t>(config.eyeball_count));
-  h.mix_u64(static_cast<std::uint64_t>(config.stub_count));
-  h.mix_u64(config.ixps_per_region);
-  h.mix_double(config.transit_tier1_providers_mean);
-  h.mix_double(config.transit_peer_prob);
-  h.mix_double(config.eyeball_transit_providers_mean);
-  h.mix_double(config.eyeball_tier1_provider_prob);
-  h.mix_double(config.eyeball_peering_openness);
-  h.mix_double(config.stub_dual_home_prob);
-  h.mix_double(config.tier1_link_capacity);
-  h.mix_double(config.transit_link_capacity);
-  h.mix_double(config.eyeball_transit_capacity);
-  h.mix_double(config.stub_capacity);
+  h.u64(static_cast<std::uint64_t>(config.tier1_count));
+  h.u64(static_cast<std::uint64_t>(config.transit_count));
+  h.u64(static_cast<std::uint64_t>(config.eyeball_count));
+  h.u64(static_cast<std::uint64_t>(config.stub_count));
+  h.u64(config.ixps_per_region);
+  h.f64(config.transit_tier1_providers_mean);
+  h.f64(config.transit_peer_prob);
+  h.f64(config.eyeball_transit_providers_mean);
+  h.f64(config.eyeball_tier1_provider_prob);
+  h.f64(config.eyeball_peering_openness);
+  h.f64(config.stub_dual_home_prob);
+  h.f64(config.tier1_link_capacity);
+  h.f64(config.transit_link_capacity);
+  h.f64(config.eyeball_transit_capacity);
+  h.f64(config.stub_capacity);
   return h.value();
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "bgpcmp/netbase/check.h"
+#include "bgpcmp/netbase/fnv.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define BGPCMP_SNAPSHOT_HAS_MMAP 1
@@ -18,8 +19,8 @@
 namespace bgpcmp::topo {
 
 std::uint64_t snapshot_hash(std::string_view bytes) {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  constexpr std::uint64_t kPrime = Fnv1a::kPrime;
+  std::uint64_t h = Fnv1a::kOffset;
   // Length first, so "payload + trailing zeros" cannot collide with payload.
   h ^= bytes.size();
   h *= kPrime;
@@ -45,18 +46,6 @@ std::uint64_t snapshot_hash(std::string_view bytes) {
   }
   return h;
 }
-
-namespace {
-
-/// Fold a u64 into an FNV-1a state byte-wise, little-endian.
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Writer / reader primitives.
@@ -385,10 +374,10 @@ SnapshotFile read_snapshot_file(const std::string& path) {
 // World-only convenience wrappers (WorldCache entries).
 
 std::uint64_t world_config_fingerprint(const InternetConfig& config) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  fnv_mix(h, internet_config_fingerprint(config));
-  fnv_mix(h, config.seed);
-  return h;
+  Fnv1a h;
+  h.u64(internet_config_fingerprint(config));
+  h.u64(config.seed);
+  return h.value();
 }
 
 void save_world_snapshot(const std::string& path, const Internet& net,

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -123,21 +122,6 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
   EXPECT_GE(default_thread_count(), 1);  // falls back to hardware concurrency
   ASSERT_EQ(unsetenv("BGPCMP_THREADS"), 0);
   EXPECT_GE(default_thread_count(), 1);
-}
-
-TEST(ThreadPoolTest, ApplyThreadFlagConsumesArguments) {
-  std::string a0 = "bench";
-  std::string a1 = "--threads";
-  std::string a2 = "2";
-  std::string a3 = "5.0";
-  char* argv[] = {a0.data(), a1.data(), a2.data(), a3.data()};
-  int argc = 4;
-  apply_thread_flag(argc, argv);
-  EXPECT_EQ(argc, 2);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "5.0");
-  EXPECT_EQ(thread_count(), 2);
-  set_thread_count(0);  // restore the default-width global pool
 }
 
 TEST(ThreadPoolTest, SetThreadCountResizesGlobalPool) {

@@ -14,7 +14,9 @@
 //                                              deterministically
 //
 // Every subcommand accepts --threads N (or the BGPCMP_THREADS environment
-// variable) to size the exec thread pool used for route warm-up.
+// variable) to size the exec thread pool used for route warm-up. Arguments
+// go through tools/flags.h: a malformed, out-of-range or unknown one exits 2
+// with a diagnostic and the subcommand's usage line.
 //
 // Every subcommand builds the same deterministic world the benches use, so
 // output here explains bench results line by line. snapshot/serve share the
@@ -22,14 +24,12 @@
 // --warm K (origins to warm); a world loaded with `serve --snapshot` answers
 // byte-identically to one built fresh from the same flags — compare the
 // --digest lines.
-#include <charconv>
-#include <cmath>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
-#include <type_traits>
+#include <vector>
 
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/table_dump.h"
@@ -39,76 +39,60 @@
 #include "bgpcmp/core/shard.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/path_model.h"
+#include "bgpcmp/netbase/check.h"
 #include "bgpcmp/stats/table.h"
+#include "flags.h"
 #include "shard_util.h"
 
 using namespace bgpcmp;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
-};
-
-Args parse(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.starts_with("--")) {
-      const std::string key = a.substr(2);
-      if (i + 1 < argc && !std::string(argv[i + 1]).starts_with("--")) {
-        args.flags[key] = argv[++i];
-      } else {
-        args.flags[key] = "";
-      }
-    } else {
-      args.positional.push_back(a);
+core::ScenarioConfig preset_config(const tools::Flags& flags) {
+  const std::string preset = flags.text("preset", "fb");
+  if (preset != "fb" && preset != "ms" && preset != "goog") {
+    flags.fail("--preset needs fb, ms or goog, got '" + preset + "'");
+  }
+  core::ScenarioConfig cfg = preset == "ms"     ? core::ScenarioConfig::microsoft_like()
+                             : preset == "goog" ? core::ScenarioConfig::google_like()
+                                                : core::ScenarioConfig::facebook_like();
+  if (flags.has("seed")) {
+    cfg = core::ScenarioConfig::with_master_seed(
+        flags.number<std::uint64_t>("seed", 0, 0));
+  }
+  const int k = flags.number("scale", 1);
+  auto& net = cfg.internet;
+  for (int* count : {&net.tier1_count, &net.transit_count, &net.eyeball_count,
+                     &net.stub_count}) {
+    if (*count > INT_MAX / k) {
+      flags.fail("--scale " + std::to_string(k) + " is too large");
     }
-  }
-  return args;
-}
-
-core::ScenarioConfig preset_config(const Args& args) {
-  const auto it = args.flags.find("preset");
-  core::ScenarioConfig cfg;
-  if (it != args.flags.end()) {
-    if (it->second == "ms") cfg = core::ScenarioConfig::microsoft_like();
-    if (it->second == "goog") cfg = core::ScenarioConfig::google_like();
-  }
-  if (const auto seed = args.flags.find("seed"); seed != args.flags.end()) {
-    cfg = core::ScenarioConfig::with_master_seed(std::stoull(seed->second));
-  }
-  if (const auto scale = args.flags.find("scale"); scale != args.flags.end()) {
-    const auto k = std::stoul(scale->second);
-    cfg.internet.tier1_count *= k;
-    cfg.internet.transit_count *= k;
-    cfg.internet.eyeball_count *= k;
-    cfg.internet.stub_count *= k;
+    *count *= k;
   }
   return cfg;
 }
 
-core::ServingConfig serving_config(const Args& args) {
+core::ServingConfig serving_config(const tools::Flags& flags) {
   core::ServingConfig serving;
-  if (const auto warm = args.flags.find("warm"); warm != args.flags.end()) {
-    serving.warm_origins = std::stoul(warm->second);
-  }
+  serving.warm_origins = flags.number<std::size_t>("warm", serving.warm_origins, 0);
   return serving;
 }
 
-topo::AsIndex find_asn_or_die(const topo::AsGraph& graph, const std::string& text) {
-  const auto idx = graph.find_asn(Asn{static_cast<std::uint32_t>(std::stoul(text))});
+topo::AsIndex find_asn_or_die(const topo::AsGraph& graph, std::uint32_t asn) {
+  const auto idx = graph.find_asn(Asn{asn});
   if (!idx) {
-    std::fprintf(stderr, "no AS%s in this world\n", text.c_str());
+    std::fprintf(stderr, "no AS%u in this world\n", asn);
     std::exit(1);
   }
   return *idx;
 }
 
-int cmd_topology(const core::Scenario& sc) {
+/// The leading <ASN> positional as an AS of this world.
+topo::AsIndex asn_arg(const topo::AsGraph& graph, const tools::Flags& flags) {
+  return find_asn_or_die(graph, flags.positional<std::uint32_t>(0, "ASN", 0));
+}
+
+int cmd_topology(const core::Scenario& sc, const tools::Flags& /*flags*/) {
   const auto& g = sc.internet.graph;
   std::printf("world: %zu ASes, %zu edges, %zu links, %zu IXPs, %zu client /24s\n",
               g.as_count(), g.edge_count(), g.link_count(), sc.internet.ixps.size(),
@@ -133,42 +117,29 @@ int cmd_topology(const core::Scenario& sc) {
   return 0;
 }
 
-int cmd_route(const core::Scenario& sc, const Args& args) {
-  if (args.positional.empty()) {
-    std::fputs("usage: bgpcmp route <ASN> [--from <ASN>] [--limit N]\n", stderr);
-    return 1;
-  }
+int cmd_route(const core::Scenario& sc, const tools::Flags& flags) {
   const auto& g = sc.internet.graph;
-  const auto origin = find_asn_or_die(g, args.positional[0]);
-  const auto table = bgp::compute_routes(g, origin);
-  if (const auto from = args.flags.find("from"); from != args.flags.end()) {
-    std::fputs((bgp::dump_route(g, table, find_asn_or_die(g, from->second)) + "\n")
-                   .c_str(),
-               stdout);
+  const auto table = bgp::compute_routes(g, asn_arg(g, flags));
+  if (flags.has("from")) {
+    const auto from = find_asn_or_die(g, flags.number<std::uint32_t>("from", 0));
+    std::fputs((bgp::dump_route(g, table, from) + "\n").c_str(), stdout);
     return 0;
   }
-  std::size_t limit = 40;
-  if (const auto l = args.flags.find("limit"); l != args.flags.end()) {
-    limit = std::stoul(l->second);
-  }
+  const auto limit = flags.number<std::size_t>("limit", 40, 0);
   std::fputs(bgp::dump_table(g, table, limit).c_str(), stdout);
   return 0;
 }
 
-int cmd_rib(const core::Scenario& sc, const Args& args) {
-  const auto at = args.flags.find("at");
-  if (args.positional.empty() || at == args.flags.end()) {
-    std::fputs("usage: bgpcmp rib <origin ASN> --at <viewer ASN>\n", stderr);
-    return 1;
-  }
+int cmd_rib(const core::Scenario& sc, const tools::Flags& flags) {
+  if (!flags.has("at")) flags.fail("missing --at <viewer ASN>");
   const auto& g = sc.internet.graph;
-  const auto table = bgp::compute_routes(g, find_asn_or_die(g, args.positional[0]));
-  std::fputs(bgp::dump_rib_in(g, table, find_asn_or_die(g, at->second)).c_str(),
-             stdout);
+  const auto table = bgp::compute_routes(g, asn_arg(g, flags));
+  const auto at = find_asn_or_die(g, flags.number<std::uint32_t>("at", 0));
+  std::fputs(bgp::dump_rib_in(g, table, at).c_str(), stdout);
   return 0;
 }
 
-int cmd_catchment(const core::Scenario& sc) {
+int cmd_catchment(const core::Scenario& sc, const tools::Flags& /*flags*/) {
   cdn::AnycastCdn cdn{&sc.internet, &sc.provider};
   const auto& db = sc.internet.city_db();
   std::map<cdn::PopId, std::pair<double, std::size_t>> per_pop;  // weight, prefixes
@@ -190,7 +161,7 @@ int cmd_catchment(const core::Scenario& sc) {
   return 0;
 }
 
-int cmd_pops(const core::Scenario& sc) {
+int cmd_pops(const core::Scenario& sc, const tools::Flags& /*flags*/) {
   const auto& g = sc.internet.graph;
   const auto& db = sc.internet.city_db();
   stats::Table t{{"PoP", "sessions", "PNI", "public", "transit"}};
@@ -212,16 +183,9 @@ int cmd_pops(const core::Scenario& sc) {
   return 0;
 }
 
-int cmd_lookup(const core::Scenario& sc, const Args& args) {
-  if (args.positional.empty()) {
-    std::fputs("usage: bgpcmp lookup <ipv4 address>\n", stderr);
-    return 1;
-  }
-  const auto addr = Ipv4Address::parse(args.positional[0]);
-  if (!addr) {
-    std::fputs("not an IPv4 address\n", stderr);
-    return 1;
-  }
+int cmd_lookup(const core::Scenario& sc, const tools::Flags& flags) {
+  const auto addr = Ipv4Address::parse(flags.positionals()[0]);
+  if (!addr) flags.fail("not an IPv4 address: '" + flags.positionals()[0] + "'");
   const auto map = sc.clients.prefix_map();
   const auto* hit = map.lookup(*addr);
   if (hit == nullptr) {
@@ -245,16 +209,12 @@ int cmd_lookup(const core::Scenario& sc, const Args& args) {
   return 0;
 }
 
-int cmd_trace(const core::Scenario& sc, const Args& args) {
-  if (args.positional.size() < 3) {
-    std::fputs("usage: bgpcmp trace <ASN> <from-city> <to-city>\n", stderr);
-    return 1;
-  }
+int cmd_trace(const core::Scenario& sc, const tools::Flags& flags) {
   const auto& g = sc.internet.graph;
   const auto& db = sc.internet.city_db();
-  const auto as = find_asn_or_die(g, args.positional[0]);
-  const auto from = db.find(args.positional[1]);
-  const auto to = db.find(args.positional[2]);
+  const auto as = asn_arg(g, flags);
+  const auto from = db.find(flags.positionals()[1]);
+  const auto to = db.find(flags.positionals()[2]);
   if (!from || !to) {
     std::fputs("unknown city\n", stderr);
     return 1;
@@ -273,42 +233,42 @@ int cmd_trace(const core::Scenario& sc, const Args& args) {
   return 0;
 }
 
-int cmd_snapshot(const Args& args) {
-  const auto out = args.flags.find("out");
-  if (out == args.flags.end() || out->second.empty()) {
-    std::fputs("usage: bgpcmp snapshot --out PATH [--preset ms|goog] [--seed N] "
-               "[--scale N] [--warm K]\n",
-               stderr);
-    return 1;
-  }
-  const auto world = core::ServingWorld::build(preset_config(args), serving_config(args));
-  world->save(out->second);
-  std::printf("wrote %s: %zu ASes, %zu warmed origins\n", out->second.c_str(),
+int cmd_snapshot(const tools::Flags& flags) {
+  const std::string out = flags.text("out");
+  if (out.empty()) flags.fail("missing --out PATH");
+  const auto world =
+      core::ServingWorld::build(preset_config(flags), serving_config(flags));
+  world->save(out);
+  std::printf("wrote %s: %zu ASes, %zu warmed origins\n", out.c_str(),
               world->scenario().internet.graph.as_count(), world->warmed().size());
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  const auto cfg = preset_config(args);
+int cmd_serve(const tools::Flags& flags) {
+  const auto cfg = preset_config(flags);
+  const auto count = flags.number<std::size_t>("queries", 100, 0);
+  const auto qseed = flags.number<std::uint64_t>("qseed", 2026, 0);
   std::unique_ptr<core::ServingWorld> world;
-  if (const auto snap = args.flags.find("snapshot"); snap != args.flags.end()) {
-    world = core::ServingWorld::load(snap->second, cfg);
+  if (flags.has("snapshot")) {
+    // A snapshot that fails its load checks (missing, truncated, corrupted,
+    // version-skewed, or built from another config) is a diagnostic, not an
+    // abort: core/snapshot.h's documented ScopedCheckThrows path.
+    const std::string path = flags.text("snapshot");
+    try {
+      const ScopedCheckThrows throws;
+      world = core::ServingWorld::load(path, cfg);
+    } catch (const CheckError& e) {
+      std::fprintf(stderr, "bgpcmp serve: cannot load snapshot '%s': %s\n",
+                   path.c_str(), e.what());
+      return 1;
+    }
   } else {
-    world = core::ServingWorld::build(cfg, serving_config(args));
-  }
-  std::size_t count = 100;
-  if (const auto q = args.flags.find("queries"); q != args.flags.end()) {
-    count = std::stoul(q->second);
-  }
-  std::uint64_t qseed = 2026;
-  if (const auto s = args.flags.find("qseed"); s != args.flags.end()) {
-    qseed = std::stoull(s->second);
+    world = core::ServingWorld::build(cfg, serving_config(flags));
   }
   const auto queries = world->generate_queries(count, qseed);
   const core::QueryServer server{world.get(), &exec::global_pool()};
   const auto answers = server.answer_batch(queries);
-  const bool digest_only = args.flags.contains("digest");
-  if (!digest_only) {
+  if (!flags.has("digest")) {
     for (const auto& a : answers) std::printf("%s\n", a.c_str());
   }
   std::printf("served=%zu warmed=%zu digest=%016llx\n", answers.size(),
@@ -317,73 +277,33 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-constexpr const char* kShardUsage =
-    "usage: bgpcmp shard [--shards N] [--days D] [--stride S] [--chunk-origins K] "
-    "[--threshold MS] [--check] [--preset ms|goog] [--seed N]\n";
-
-/// The value of `--name` as a positive number (non-negative when
-/// `allow_zero`), or `fallback` when the flag is absent. Anything else is a
-/// usage error: the study would otherwise run on a coerced value or crash.
-template <typename T>
-T shard_flag(const Args& args, const char* name, T fallback, bool allow_zero = false) {
-  const auto it = args.flags.find(name);
-  if (it == args.flags.end()) return fallback;
-  const char* text = it->second.c_str();
-  const char* last = text + it->second.size();
-  T value{};
-  bool parsed = false;
-  if constexpr (std::is_floating_point_v<T>) {
-    char* end = nullptr;
-    value = std::strtod(text, &end);
-    parsed = end == last && last != text && std::isfinite(value);
-  } else {
-    const auto [end, ec] = std::from_chars(text, last, value);
-    parsed = ec == std::errc{} && end == last;
-  }
-  if (!parsed || !(value > 0 || (allow_zero && value == 0))) {
-    const char* want = std::is_floating_point_v<T> ? "positive number"
-                       : allow_zero                   ? "non-negative integer"
-                                                      : "positive integer";
-    std::fprintf(stderr, "bgpcmp shard: --%s needs a %s, got '%s'\n%s", name, want,
-                 text, kShardUsage);
-    std::exit(2);
-  }
-  return value;
-}
-
-core::ScaleStudyConfig scale_study_config(const Args& args) {
-  core::ScaleStudyConfig cfg;
-  cfg.study.days = shard_flag(args, "days", cfg.study.days);
-  cfg.study.window_stride = shard_flag(args, "stride", cfg.study.window_stride);
-  cfg.chunk_origins = shard_flag(args, "chunk-origins", cfg.chunk_origins);
-  return cfg;
-}
-
 /// `bgpcmp shard`: the streaming Study-1 window split across worker
 /// processes. Each worker owns a contiguous block of client chunks
 /// (core::run_scale_shard) and writes it to a file; the parent merges them
 /// back in chunk order against the stream's chunk count — a result
 /// byte-identical to the single-process run, which --check verifies.
-int cmd_shard(const Args& args, int argc, char** argv) {
-  const int shards = shard_flag(args, "shards", 2);
-  const double threshold = shard_flag(args, "threshold", 2.0);
-  const auto scfg = scale_study_config(args);
+int cmd_shard(const tools::Flags& flags) {
+  const auto world_cfg = preset_config(flags);
+  const int shards = flags.number("shards", 2);
+  const double threshold = flags.number("threshold", 2.0);
+  core::ScaleStudyConfig scfg;
+  scfg.study.days = flags.number("days", scfg.study.days);
+  scfg.study.window_stride = flags.number("stride", scfg.study.window_stride);
+  scfg.chunk_origins = flags.number("chunk-origins", scfg.chunk_origins);
 
-  if (args.flags.contains("worker")) {
-    const int worker = shard_flag(args, "worker", 0, /*allow_zero=*/true);
-    const auto out = args.flags.find("out");
-    if (out == args.flags.end() || out->second.empty() || worker >= shards) {
-      std::fprintf(stderr, "bgpcmp shard: worker mode needs --out and a --worker "
-                           "index below --shards\n%s", kShardUsage);
-      return 2;
+  if (flags.has("worker")) {
+    const int worker = flags.number("worker", 0, 0);
+    const std::string out = flags.text("out");
+    if (out.empty() || worker >= shards) {
+      flags.fail("worker mode needs --out and a --worker index below --shards");
     }
-    const auto world = core::ScaleWorld::make(preset_config(args));
-    return tools::write_worker_output(out->second, [&](std::ostream& file) {
+    const auto world = core::ScaleWorld::make(world_cfg);
+    return tools::write_worker_output(out, [&](std::ostream& file) {
       core::run_scale_shard(*world, scfg, shards, worker, file);
     });
   }
 
-  const auto texts = tools::run_workers({argv, argv + argc}, shards, "study");
+  const auto texts = tools::run_workers(flags.args(), shards, "study");
   if (!texts) return 1;
   const auto result = core::merge_scale_shards(*texts, core::study_windows(scfg.study));
   std::printf("chunks=%zu pairs=%zu windows=%zu improvable(>=%.1fms)=%.4f "
@@ -392,8 +312,8 @@ int cmd_shard(const Args& args, int argc, char** argv) {
               threshold, result.improvable_traffic_fraction(threshold),
               static_cast<unsigned long long>(result.fingerprint()), shards);
 
-  if (args.flags.contains("check")) {
-    const auto world = core::ScaleWorld::make(preset_config(args));
+  if (flags.has("check")) {
+    const auto world = core::ScaleWorld::make(world_cfg);
     const auto local = core::run_scale_study(*world, scfg);
     if (local.fingerprint() != result.fingerprint()) {
       std::fprintf(stderr, "DIVERGED: sharded %016llx != in-process %016llx\n",
@@ -406,30 +326,64 @@ int cmd_shard(const Args& args, int argc, char** argv) {
   return 0;
 }
 
+/// One subcommand: what it accepts besides the world flags (--preset,
+/// --seed, --scale) and --threads, and how it runs. Explorer commands run
+/// on the deterministic scenario the benches use; the others manage their
+/// own world (a ServingWorld, possibly loaded from disk, or a ScaleWorld).
+struct Command {
+  std::string_view name;
+  std::string_view usage;  ///< arguments after the command name
+  std::vector<std::string_view> valued;
+  std::vector<std::string_view> switches;
+  std::size_t positionals = 0;
+  int (*explore)(const core::Scenario&, const tools::Flags&) = nullptr;
+  int (*run)(const tools::Flags&) = nullptr;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"topology", "", {}, {}, 0, &cmd_topology},
+      {"route", "<ASN> [--from ASN] [--limit N]", {"from", "limit"}, {}, 1, &cmd_route},
+      {"rib", "<ASN> --at ASN", {"at"}, {}, 1, &cmd_rib},
+      {"catchment", "", {}, {}, 0, &cmd_catchment},
+      {"pops", "", {}, {}, 0, &cmd_pops},
+      {"trace", "<ASN> <from-city> <to-city>", {}, {}, 3, &cmd_trace},
+      {"lookup", "<ipv4 address>", {}, {}, 1, &cmd_lookup},
+      {"snapshot", "--out PATH [--warm K]", {"out", "warm"}, {}, 0, nullptr,
+       &cmd_snapshot},
+      {"serve", "[--snapshot PATH] [--warm K] [--queries N] [--qseed S] [--digest]",
+       {"snapshot", "warm", "queries", "qseed"}, {"digest"}, 0, nullptr, &cmd_serve},
+      // --worker/--out are the hidden worker flags tools::run_workers appends.
+      {"shard",
+       "[--shards N] [--days D] [--stride S] [--chunk-origins K] [--threshold MS] "
+       "[--check]",
+       {"shards", "days", "stride", "chunk-origins", "threshold", "worker", "out"},
+       {"check"}, 0, nullptr, &cmd_shard},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
-  const Args args = parse(argc, argv);
-  if (args.command.empty()) {
-    std::fputs("usage: bgpcmp <topology|route|rib|catchment|pops|trace|lookup|"
-               "snapshot|serve|shard> [--preset ms|goog] [--seed N] ...\n",
-               stderr);
-    return 1;
+  const std::string_view name = argc > 1 ? argv[1] : "";
+  for (const Command& c : commands()) {
+    if (c.name != name) continue;
+    const std::string tool = "bgpcmp " + std::string(name);
+    const std::string args = c.usage.empty() ? "" : " " + std::string(c.usage);
+    tools::Syntax syntax{tool,
+                         "usage: " + tool + args +
+                             " [--preset fb|ms|goog] [--seed N] [--scale N]"
+                             " [--threads N]\n",
+                         c.valued, c.switches, c.positionals, c.positionals};
+    syntax.valued.insert(syntax.valued.end(), {"preset", "seed", "scale"});
+    const tools::Flags flags{std::move(syntax), argc, argv, 2};
+    if (c.run != nullptr) return c.run(flags);
+    return c.explore(*core::Scenario::make(preset_config(flags)), flags);
   }
-  // snapshot/serve manage their own world (ServingWorld; possibly loaded from
-  // disk) — don't build the explorer scenario for them.
-  if (args.command == "snapshot") return cmd_snapshot(args);
-  if (args.command == "serve") return cmd_serve(args);
-  if (args.command == "shard") return cmd_shard(args, argc, argv);
-  auto scenario = core::Scenario::make(preset_config(args));
-  if (args.command == "topology") return cmd_topology(*scenario);
-  if (args.command == "route") return cmd_route(*scenario, args);
-  if (args.command == "rib") return cmd_rib(*scenario, args);
-  if (args.command == "catchment") return cmd_catchment(*scenario);
-  if (args.command == "pops") return cmd_pops(*scenario);
-  if (args.command == "trace") return cmd_trace(*scenario, args);
-  if (args.command == "lookup") return cmd_lookup(*scenario, args);
-  std::fprintf(stderr, "unknown command '%s'\n", args.command.c_str());
-  return 1;
+  if (!name.empty()) std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+  std::fputs("usage: bgpcmp <topology|route|rib|catchment|pops|trace|lookup|"
+             "snapshot|serve|shard> [--preset fb|ms|goog] [--seed N] ...\n",
+             stderr);
+  return 2;
 }

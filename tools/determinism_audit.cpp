@@ -33,6 +33,7 @@
 #include "bgpcmp/core/shard.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/stats/table.h"
+#include "flags.h"
 #include "shard_util.h"
 
 using namespace bgpcmp;
@@ -53,27 +54,28 @@ void dump(const std::string& dir, std::string_view scenario, int run,
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
-core::FingerprintOptions options_for(const core::RegisteredScenario& s,
-                                     bool skip_studies) {
-  core::FingerprintOptions options;
-  options.run_studies = s.fingerprint_studies && !skip_studies;
-  options.topology_only = s.topology_only;
-  options.churn = s.churn;
-  options.serving = s.serving;
-  return options;
+/// What to render for `s`: --skip-studies drops the study runs, leaving the
+/// world tables.
+core::FingerprintKind kind_of(const core::RegisteredScenario& s, bool skip_studies) {
+  return skip_studies && s.kind == core::FingerprintKind::Studies
+             ? core::FingerprintKind::World
+             : s.kind;
 }
+
+/// The report's "studies" column, indexed by FingerprintKind.
+constexpr const char* kKindColumn[] = {"yes", "no", "topo", "churn", "serving"};
 
 /// "<scenario> <fingerprint>": one registry unit's line in a sharded audit.
 std::string fingerprint_line(const core::RegisteredScenario& s, bool skip_studies) {
   const auto hash =
-      core::scenario_fingerprint(s.config(), options_for(s, skip_studies));
+      core::scenario_fingerprint(s.config(), kind_of(s, skip_studies));
   char line[96];
   std::snprintf(line, sizeof line, "%s %016llx", std::string(s.name).c_str(),
                 static_cast<unsigned long long>(hash));
   return line;
 }
 
-/// --shards worker: fingerprint this block of the registry into --shard-out.
+/// --shards worker: fingerprint this block of the registry into --out.
 int run_shard_worker(int shards, int worker, const std::string& out_path,
                      bool skip_studies) {
   const auto registry = core::scenario_registry();
@@ -86,13 +88,12 @@ int run_shard_worker(int shards, int worker, const std::string& out_path,
 }
 
 /// --shards parent: run 1 in this process, run 2 across forked workers.
-int run_sharded_audit(int argc, char** argv, int shards, bool skip_studies) {
+int run_sharded_audit(const tools::Flags& flags, int shards, bool skip_studies) {
   const auto registry = core::scenario_registry();
   // Run 1: the in-process reference.
   std::vector<std::string> local;
   for (const auto& s : registry) local.push_back(fingerprint_line(s, skip_studies));
-  const auto texts = tools::run_workers({argv, argv + argc}, shards, "audit",
-                                        "--shard-worker", "--shard-out");
+  const auto texts = tools::run_workers(flags.args(), shards, "audit");
   if (!texts) return 1;
   const std::vector<std::string> sharded = tools::lines_of(*texts);
   if (sharded.size() != registry.size()) {
@@ -128,64 +129,39 @@ int run_sharded_audit(int argc, char** argv, int shards, bool skip_studies) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exec::apply_thread_flag(argc, argv);
-  bool skip_studies = false;
-  int compare_threads = 0;  // 0: same pool for both runs
-  int shards = 0;           // > 0: compare in-process vs forked workers
-  int shard_worker = -1;    // >= 0: this process is a shard worker
-  std::string shard_out;
-  std::string only;
-  std::string dump_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list") {
-      for (const auto& s : core::scenario_registry()) {
-        std::printf("%-16s %s\n", std::string(s.name).c_str(),
-                    std::string(s.description).c_str());
-      }
-      return 0;
+  const tools::Flags flags{
+      {"determinism_audit",
+       "usage: determinism_audit [--list] [--scenario NAME] [--skip-studies] "
+       "[--dump DIR] [--threads N] [--compare-threads N] [--shards N]\n",
+       // --worker/--out are the hidden worker flags tools::run_workers appends.
+       {"scenario", "dump", "compare-threads", "shards", "worker", "out"},
+       {"list", "skip-studies"}},
+      argc, argv};
+  if (flags.has("list")) {
+    for (const auto& s : core::scenario_registry()) {
+      std::printf("%-16s %s\n", std::string(s.name).c_str(),
+                  std::string(s.description).c_str());
     }
-    if (arg == "--skip-studies") {
-      skip_studies = true;
-    } else if (arg == "--scenario" && i + 1 < argc) {
-      only = argv[++i];
-    } else if (arg == "--dump" && i + 1 < argc) {
-      dump_dir = argv[++i];
-    } else if (arg == "--compare-threads" && i + 1 < argc) {
-      compare_threads = std::atoi(argv[++i]);
-      if (compare_threads < 2) {
-        std::fprintf(stderr, "--compare-threads needs an integer >= 2\n");
-        return 2;
-      }
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atoi(argv[++i]);
-      if (shards < 2 && shard_worker < 0) {
-        std::fprintf(stderr, "--shards needs an integer >= 2\n");
-        return 2;
-      }
-    } else if (arg == "--shard-worker" && i + 1 < argc) {
-      shard_worker = std::atoi(argv[++i]);
-    } else if (arg == "--shard-out" && i + 1 < argc) {
-      shard_out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: determinism_audit [--list] [--scenario NAME] "
-                   "[--skip-studies] [--dump DIR] [--threads N] "
-                   "[--compare-threads N] [--shards N]\n");
-      return 2;
-    }
+    return 0;
   }
-  if (shard_worker >= 0) {
-    if (shards < 1 || shard_worker >= shards || shard_out.empty()) {
-      std::fprintf(stderr, "--shard-worker needs --shards and --shard-out\n");
-      return 2;
+  const bool skip_studies = flags.has("skip-studies");
+  // 0: same pool for both runs.
+  const int compare_threads = flags.number("compare-threads", 0, 2);
+  // > 0: compare in-process vs forked workers.
+  const int shards = flags.number("shards", 0, 2);
+  if (flags.has("worker")) {
+    const int worker = flags.number("worker", 0, 0);
+    const std::string out = flags.text("out");
+    if (shards == 0 || worker >= shards || out.empty()) {
+      flags.fail("--worker needs --shards, an index below it, and --out");
     }
-    return run_shard_worker(shards, shard_worker, shard_out, skip_studies);
+    return run_shard_worker(shards, worker, out, skip_studies);
   }
-  if (shards > 0) return run_sharded_audit(argc, argv, shards, skip_studies);
+  if (shards > 0) return run_sharded_audit(flags, shards, skip_studies);
+  const std::string only = flags.text("scenario");
+  const std::string dump_dir = flags.text("dump");
   if (!only.empty() && core::find_scenario(only) == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s' (try --list)\n", only.c_str());
-    return 2;
+    flags.fail("unknown scenario '" + only + "' (try --list)");
   }
 
   if (compare_threads > 0) {
@@ -195,12 +171,12 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const auto& s : core::scenario_registry()) {
     if (!only.empty() && s.name != only) continue;
-    const auto options = options_for(s, skip_studies);
+    const auto kind = kind_of(s, skip_studies);
     const auto config = s.config();
     if (compare_threads > 0) exec::set_thread_count(1);
-    const auto tables1 = core::render_result_tables(config, options);
+    const auto tables1 = core::render_result_tables(config, kind);
     if (compare_threads > 0) exec::set_thread_count(compare_threads);
-    const auto tables2 = core::render_result_tables(config, options);
+    const auto tables2 = core::render_result_tables(config, kind);
     const auto hash1 = core::fnv1a64(tables1);
     const auto hash2 = core::fnv1a64(tables2);
     const bool ok = tables1 == tables2;
@@ -213,13 +189,7 @@ int main(int argc, char** argv) {
     char h2[17];
     std::snprintf(h1, sizeof h1, "%016llx", static_cast<unsigned long long>(hash1));
     std::snprintf(h2, sizeof h2, "%016llx", static_cast<unsigned long long>(hash2));
-    const char* studies =
-        s.serving
-            ? "serving"
-            : (s.churn ? "churn"
-                       : (s.topology_only ? "topo"
-                                          : (options.run_studies ? "yes" : "no")));
-    report.add_row({std::string(s.name), studies, h1, h2,
+    report.add_row({std::string(s.name), kKindColumn[static_cast<int>(kind)], h1, h2,
                     ok ? "deterministic" : "DIVERGED"});
   }
   std::fputs(report.render().c_str(), stdout);

@@ -24,13 +24,12 @@ namespace bgpcmp::tools {
 
 /// Re-exec this binary (/proc/self/exe) as `shards` workers: worker w runs
 /// with `args` (argv[0] first; usually the parent's own argv) plus
-/// `worker_flag w out_flag <file>`. Waits for all of them and returns each
+/// `--worker w --out <file>`. Waits for all of them and returns each
 /// worker's output text in worker order, or nullopt (with the reason on
 /// stderr) if any worker failed or left no output. Every worker file is
 /// removed on every path.
 inline std::optional<std::vector<std::string>> run_workers(
-    const std::vector<std::string>& args, int shards, const std::string& tag,
-    const char* worker_flag = "--worker", const char* out_flag = "--out") {
+    const std::vector<std::string>& args, int shards, const std::string& tag) {
   const char* tmp = std::getenv("TMPDIR");
   const std::string dir = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
   std::vector<std::string> paths;
@@ -40,7 +39,7 @@ inline std::optional<std::vector<std::string>> run_workers(
                     "_" + std::to_string(w) + ".txt");
     std::vector<std::string> worker_args = args;
     worker_args.insert(worker_args.end(),
-                       {worker_flag, std::to_string(w), out_flag, paths.back()});
+                       {"--worker", std::to_string(w), "--out", paths.back()});
     std::vector<char*> cargv;
     for (auto& arg : worker_args) cargv.push_back(arg.data());
     cargv.push_back(nullptr);
