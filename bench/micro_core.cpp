@@ -125,21 +125,35 @@ BENCHMARK(BM_RouteCacheWarm)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // fig1's actual hot loop: the CI of (BGP - best alternate) medians, called
 // once per <pair, window>.
+// Args: samples per side, sorted (1) or not (0), resamples. Study 1 passes
+// sorted samples (its per-window median sorts them first), n in [3, 40] and
+// 60 resamples; the unsorted cases time the rank-table path.
 void BM_BootstrapMedianDiffCi(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
   Rng rng{1234};
   std::vector<double> a;
   std::vector<double> b;
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < n; ++i) {
     a.push_back(rng.normal(50, 10));
     b.push_back(rng.normal(48, 10));
   }
-  stats::BootstrapOptions opts;
+  if (state.range(1) != 0) {
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+  }
+  const stats::BootstrapOptions opts{static_cast<int>(state.range(2))};
   for (auto _ : state) {
     const auto ci = stats::bootstrap_median_diff_ci(a, b, rng, opts);
     benchmark::DoNotOptimize(ci.point);
   }
 }
-BENCHMARK(BM_BootstrapMedianDiffCi)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BootstrapMedianDiffCi)
+    ->Args({20, 0, 200})
+    ->Args({40, 0, 60})
+    ->Args({3, 1, 60})
+    ->Args({10, 1, 60})
+    ->Args({40, 1, 60})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CandidateRoutes(benchmark::State& state) {
   const auto& sc = shared_scenario();

@@ -12,6 +12,8 @@ namespace bgpcmp::core {
 
 namespace {
 
+// Sorts in place: the window's CI below then takes the bootstrap's sorted
+// fast path (ranks are indices, no rank table is built).
 float median_of(std::vector<double>& samples) {
   std::sort(samples.begin(), samples.end());
   return static_cast<float>(stats::quantile_sorted(samples, 0.5));

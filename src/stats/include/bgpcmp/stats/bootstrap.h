@@ -3,6 +3,13 @@
 // Figure 1's shaded region is "the distribution of the lower and upper bounds
 // of the confidence intervals around the performance difference". We compute
 // percentile-bootstrap CIs for the median of small per-window samples.
+//
+// A resample is a count of draws per rank of the sorted sample, not a copy of
+// the drawn values; its median is read from the cumulative counts. That is
+// bit-identical to copying the draws and selecting the middle, and it draws
+// the Rng identically. Sorted input is used in place (the fast path Study 1
+// takes); other input is ranked once per call by a stable index sort.
+// Samples must be finite and the confidence level must lie in (0, 1).
 #pragma once
 
 #include <span>
@@ -26,13 +33,13 @@ struct BootstrapOptions {
 };
 
 /// Percentile-bootstrap CI for the median of `values`. Deterministic given
-/// the Rng. Requires non-empty input.
+/// the Rng. Requires non-empty, finite input.
 [[nodiscard]] ConfidenceInterval bootstrap_median_ci(std::span<const double> values,
                                                      Rng& rng,
                                                      const BootstrapOptions& opts = {});
 
 /// CI for the *difference of medians* median(a) - median(b), resampling both
-/// sides independently. Requires both inputs non-empty.
+/// sides independently. Requires both inputs non-empty and finite.
 [[nodiscard]] ConfidenceInterval bootstrap_median_diff_ci(
     std::span<const double> a, std::span<const double> b, Rng& rng,
     const BootstrapOptions& opts = {});
