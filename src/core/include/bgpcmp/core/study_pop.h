@@ -24,7 +24,7 @@ struct PopStudyConfig {
   std::uint64_t seed = 1001;
   double days = 10.0;   ///< the paper's dataset covers ten days
   int window_stride = 2;  ///< evaluate every n-th 15-minute window
-  int top_k_routes = 3;   ///< spray over BGP's top-k preferred routes
+  int top_k_routes = 3;   ///< spray over BGP's top-k preferred routes (>= 2)
   traffic::SessionConfig sessions;
   stats::BootstrapOptions bootstrap{/*resamples=*/60, /*confidence=*/0.95};
 };

@@ -4,6 +4,7 @@
 
 #include "../testutil.h"
 #include "bgpcmp/exec/thread_pool.h"
+#include "bgpcmp/netbase/check.h"
 
 namespace bgpcmp::core {
 namespace {
@@ -163,6 +164,17 @@ TEST(PopStudy, TopKLimitsRoutes) {
   const auto result = run_pop_study(test::small_scenario(), cfg);
   for (const auto& s : result.series) {
     EXPECT_LE(s.routes.size(), 2u);
+  }
+}
+
+TEST(PopStudy, RejectsTopKBelowTwo) {
+  // A negative k used to cast to "no limit", and 0 or 1 left every pair
+  // unmeasurable without a word.
+  for (const int k : {-1, 0, 1}) {
+    PopStudyConfig cfg = quick_config();
+    cfg.top_k_routes = k;
+    ScopedCheckThrows guard;
+    EXPECT_THROW((void)run_pop_study(test::small_scenario(), cfg), CheckError) << k;
   }
 }
 
