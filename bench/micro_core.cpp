@@ -8,6 +8,7 @@
 #include "bgpcmp/bgp/propagation.h"
 #include "bgpcmp/bgp/rib.h"
 #include "bgpcmp/bgp/route_cache.h"
+#include "bgpcmp/core/pop_pair.h"
 #include "bgpcmp/core/scenario.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/latency/congestion.h"
@@ -123,6 +124,42 @@ void BM_RouteCacheWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteCacheWarm)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
+// Study 1's measure kernel for one measurable <PoP, prefix> pair of the
+// shared scenario over one day (48 windows): session sampling plus one
+// bootstrap CI per window. Against BM_BootstrapMedianDiffCi it splits the
+// measure stage into sampling and CI.
+void BM_MeasurePopPair(benchmark::State& state) {
+  const auto& sc = shared_scenario();
+  core::PopStudyConfig config;
+  config.days = 1.0;  // 96 windows at stride 2: 48 measured
+  const auto windows = core::study_windows(config);
+  const auto& graph = sc.internet.graph;
+  const auto& prefixes = sc.clients.prefixes();
+  core::PairPlan plan;
+  for (std::size_t i = 0; i < prefixes.size() && !plan.measurable(); ++i) {
+    const auto table = bgp::compute_routes(graph, prefixes[i].origin_as);
+    plan = core::plan_pop_pair(graph, sc.internet.city_db(), sc.provider, prefixes[i],
+                               static_cast<traffic::PrefixId>(i), table,
+                               config.top_k_routes);
+  }
+  if (!plan.measurable()) {
+    state.SkipWithError("no measurable pair in the shared scenario");
+    return;
+  }
+  const auto& client = prefixes[plan.prefix];
+  const double popularity = sc.demand.popularities()[plan.prefix];
+  const double lon = sc.internet.city_db().at(client.city).location.lon_deg;
+  const lat::RttSampler sampler;
+  const Rng root{config.seed};
+  for (auto _ : state) {
+    const auto series =
+        core::measure_pop_pair(plan, client, windows, popularity, lon,
+                               sc.config.demand, sc.latency, sampler, root, config);
+    benchmark::DoNotOptimize(series.ci_upper.data());
+  }
+}
+BENCHMARK(BM_MeasurePopPair)->Unit(benchmark::kMicrosecond);
+
 // fig1's actual hot loop: the CI of (BGP - best alternate) medians, called
 // once per <pair, window>.
 // Args: samples per side, sorted (1) or not (0), resamples. Study 1 passes
@@ -142,8 +179,9 @@ void BM_BootstrapMedianDiffCi(benchmark::State& state) {
     std::sort(b.begin(), b.end());
   }
   const stats::BootstrapOptions opts{static_cast<int>(state.range(2))};
+  SplitMixRng ci_rng = rng.fork_splitmix("bootstrap");
   for (auto _ : state) {
-    const auto ci = stats::bootstrap_median_diff_ci(a, b, rng, opts);
+    const auto ci = stats::bootstrap_median_diff_ci(a, b, ci_rng, opts);
     benchmark::DoNotOptimize(ci.point);
   }
 }

@@ -31,6 +31,7 @@ struct PairPlan {
 /// realize top-k paths. Reads only immutable world state plus the origin's
 /// route table, so planning fans out over any axis (pairs, chunks, shards).
 /// Pairs with fewer than two usable routes come back with routes cleared.
+/// Requires top_k >= 2: fewer routes leave nothing to compare.
 [[nodiscard]] PairPlan plan_pop_pair(const topo::AsGraph& graph,
                                      const topo::CityDb& db,
                                      const cdn::ContentProvider& provider,
@@ -42,8 +43,10 @@ struct PairPlan {
 /// every route, keep per-window medians and the bootstrap CI of
 /// (BGP - best alternate). `popularity` and `lon_deg` feed
 /// traffic::diurnal_volume, the one definition of the per-window volume.
-/// Deterministic in its arguments: the RNG is forked from `root` by
-/// <prefix, pop>, never by call order.
+/// Deterministic in its arguments: the sampling stream is forked from `root`
+/// by <prefix, pop>, never by call order, and each window's CI draws from
+/// its own SplitMixRng forked by <prefix, pop, window>, so the bootstrap
+/// settings never move a sample.
 [[nodiscard]] PopPrefixSeries measure_pop_pair(
     const PairPlan& plan, const traffic::ClientPrefix& client,
     const std::vector<TimeWindow>& windows, double popularity, double lon_deg,

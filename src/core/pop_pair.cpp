@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bgpcmp/cdn/edge_fabric.h"
+#include "bgpcmp/netbase/check.h"
 #include "bgpcmp/stats/quantile.h"
 #include "bgpcmp/traffic/demand.h"
 #include "bgpcmp/traffic/sessions.h"
@@ -25,6 +26,7 @@ PairPlan plan_pop_pair(const topo::AsGraph& graph, const topo::CityDb& db,
                        const cdn::ContentProvider& provider,
                        const traffic::ClientPrefix& client, traffic::PrefixId prefix,
                        const bgp::RouteTable& table, int top_k) {
+  BGPCMP_CHECK_GE(top_k, 2, "a pair needs at least two routes to compare");
   const cdn::PopId pop = provider.serving_pop(graph, db, client.origin_as, client.city);
   auto options =
       cdn::edge_fabric::rank_by_policy(graph, provider.egress_options(graph, table, pop));
@@ -60,8 +62,10 @@ PopPrefixSeries measure_pop_pair(const PairPlan& plan,
                                  const lat::LatencyModel& latency,
                                  const lat::RttSampler& sampler, const Rng& root,
                                  const PopStudyConfig& config) {
-  Rng rng = root.fork("pair-" + std::to_string(plan.prefix) + "-" +
-                      std::to_string(plan.pop));
+  const std::string pair_label =
+      std::to_string(plan.prefix) + "-" + std::to_string(plan.pop);
+  Rng rng = root.fork("pair-" + pair_label);
+  const std::string ci_label = "ci-" + pair_label + "-";
   PopPrefixSeries series;
   series.pop = plan.pop;
   series.prefix = plan.prefix;
@@ -91,13 +95,16 @@ PopPrefixSeries measure_pop_pair(const PairPlan& plan,
       }
       series.medians[r][w] = median_of(samples);
     }
-    // CI of (BGP - best alternate) from the sprayed samples.
+    // CI of (BGP - best alternate) from the sprayed samples, on the
+    // window's own stream: `rng` never sees a resampling draw, so the
+    // medians and volumes do not depend on config.bootstrap.
     std::size_t best_alt = 1;
     for (std::size_t r = 2; r < n_routes; ++r) {
       if (series.medians[r][w] < series.medians[best_alt][w]) best_alt = r;
     }
+    SplitMixRng ci_rng = root.fork_splitmix(ci_label + std::to_string(w));
     const auto ci = stats::bootstrap_median_diff_ci(
-        route_samples[0], route_samples[best_alt], rng, config.bootstrap);
+        route_samples[0], route_samples[best_alt], ci_rng, config.bootstrap);
     series.ci_lower[w] = static_cast<float>(ci.lower);
     series.ci_upper[w] = static_cast<float>(ci.upper);
   }

@@ -64,11 +64,12 @@ std::vector<PopPrefixSeries> run_pop_pairs(
   }
 
   // Measure: spray sessions over each route in every window. Plans are
-  // independent by construction — each forks its own RNG stream keyed by
-  // <prefix, pop> and reads only immutable world state (the congestion
-  // field's lazy access cache is internally synchronized) — so they fan out
-  // over the exec pool, collected in plan order. Output is byte-identical
-  // for any thread count; tools/determinism_audit --compare-threads checks.
+  // independent by construction — each forks its own RNG streams keyed by
+  // <prefix, pop> (and the window, for the CI) and reads only immutable
+  // world state (the congestion field's lazy access cache is internally
+  // synchronized) — so they fan out over the exec pool, collected in plan
+  // order. Output is byte-identical for any thread count;
+  // tools/determinism_audit --compare-threads checks.
   const lat::RttSampler sampler;
   const Rng root{config.seed};
   return exec::parallel_map(plans.size(), [&](std::size_t p) {

@@ -4,6 +4,15 @@
 // global generator. Substreams are derived with fork(), so adding a new
 // consumer of randomness never perturbs the draws of existing ones — a
 // property the reproduction benches rely on (same seed => same figure).
+//
+// Two engines live here. Rng wraps mt19937_64 and carries every sampler the
+// model draws from: topology, clients, demand and session sampling. Those
+// streams keep mt19937_64 because switching them would move every recorded
+// world and client byte for no measured gain. SplitMixRng is the engine of
+// the bootstrap CI streams, which only draw bounded indices: its state is
+// one word, so a stream per <pair, window> costs one seed derivation, and a
+// draw costs a few multiplies instead of a Mersenne-Twister step plus a
+// distribution.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +21,46 @@
 #include <string_view>
 #include <vector>
 
+#include "bgpcmp/netbase/check.h"
+
 namespace bgpcmp {
+
+/// SplitMix64 (Steele, Lea and Flood; the output function of Vigna's
+/// reference `splitmix64.c`) with unbiased bounded draws by Lemire's
+/// multiply-shift method, rejection step included. Streams come from
+/// Rng::fork_splitmix(label); copying one replays its draws, like Rng.
+class SplitMixRng {
+ public:
+  explicit SplitMixRng(std::uint64_t seed) : state_(seed) {}
+
+  /// The next raw 64-bit output: Vigna's `next()`, bit for bit.
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Uniform integer in [0, n), without modulo bias. The high word of
+  /// next() * n is the draw; a low word below 2^64 mod n marks one of the
+  /// surplus products and is redrawn. Requires n > 0.
+  std::uint64_t below(std::uint64_t n) {
+    BGPCMP_CHECK_GT(n, 0, "cannot draw below an empty bound");
+    unsigned __int128 m = static_cast<unsigned __int128>(next()) * n;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < n) [[unlikely]] {
+      const std::uint64_t surplus = (std::uint64_t{0} - n) % n;
+      while (low < surplus) {
+        m = static_cast<unsigned __int128>(next()) * n;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
+ private:
+  std::uint64_t state_;
+};
 
 /// Deterministic RNG with convenience samplers.
 class Rng {
@@ -22,6 +70,10 @@ class Rng {
   /// Derive an independent child stream keyed by a label, without advancing
   /// this stream. Same (seed, label) always yields the same child.
   [[nodiscard]] Rng fork(std::string_view label) const;
+
+  /// The same derivation, into a SplitMixRng: the child draws from the seed
+  /// fork(label) would get, without building an mt19937_64 for it.
+  [[nodiscard]] SplitMixRng fork_splitmix(std::string_view label) const;
 
   /// The seed this stream was constructed from.
   [[nodiscard]] std::uint64_t base_seed() const { return seed_; }

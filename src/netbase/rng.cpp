@@ -10,13 +10,8 @@ namespace bgpcmp {
 
 namespace {
 
-// SplitMix64 finalizer: whitens correlated seeds before feeding mt19937_64.
-std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// One SplitMix64 step: whitens correlated seeds before feeding mt19937_64.
+std::uint64_t splitmix(std::uint64_t x) { return SplitMixRng{x}.next(); }
 
 // FNV-1a over the label, mixed with the parent seed, so fork("a") and
 // fork("b") are decorrelated and stable across runs.
@@ -32,6 +27,10 @@ Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(splitmix(seed)) {}
 
 Rng Rng::fork(std::string_view label) const {
   return Rng{derive_seed(seed_, label)};
+}
+
+SplitMixRng Rng::fork_splitmix(std::string_view label) const {
+  return SplitMixRng{derive_seed(seed_, label)};
 }
 
 double Rng::uniform(double lo, double hi) {

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <numeric>
-#include <random>  // lint:allow(D4): stateless distributions drawn over Rng::engine()
 #include <vector>
 
 #include "bgpcmp/netbase/check.h"
@@ -19,14 +17,14 @@ namespace {
 /// then a histogram of drawn ranks instead of a copy of the drawn values:
 /// each draw increments counts[rank[i]], and the median is read by walking
 /// the cumulative counts to the ranks holding order statistics (n-1)/2 and,
-/// for even n, n/2. The draws are the same n calls of the same distribution
-/// over Rng::engine() in the same order, so the stream advances exactly as
-/// a copy-and-select resample does, and the order statistics are the values
-/// nth_element would place there: tied values are equal, and the check
-/// below keeps NaN, whose order is undefined, out. The result is therefore
-/// bit-identical to copy + nth_element + tail minimum, without the copy,
-/// the selection or the tail scan. (A sample holding both -0.0 and +0.0 is
-/// the one exception: which zero each method picks may differ in sign.)
+/// for even n, n/2. The draws are the same n bounded draws in the same
+/// order, so the stream advances exactly as a copy-and-select resample does,
+/// and the order statistics are the values nth_element would place there:
+/// tied values are equal, and the check below keeps NaN, whose order is
+/// undefined, out. The result is therefore bit-identical to copy +
+/// nth_element + tail minimum, without the copy, the selection or the tail
+/// scan. (A sample holding both -0.0 and +0.0 is the one exception: which
+/// zero each method picks may differ in sign.)
 class RankedSample {
  public:
   /// Sorted input (Study 1 sorts each window's samples for its median
@@ -58,17 +56,12 @@ class RankedSample {
 
   /// One resample's median. `counts` is caller-owned scratch, reused so a
   /// resample never allocates.
-  double resample_median(Rng& rng, std::vector<std::size_t>& counts) const {
+  double resample_median(SplitMixRng& rng, std::vector<std::size_t>& counts) const {
     const std::span<const double> sorted = this->sorted();
     const std::size_t n = sorted.size();
     counts.assign(n, 0);
-    // One distribution per resample draws the same sequence as Rng::index
-    // per element (the distribution is stateless) without paying its
-    // per-call construction.
-    std::uniform_int_distribution<std::int64_t> pick{
-        0, static_cast<std::int64_t>(n) - 1};
     for (std::size_t i = 0; i < n; ++i) {
-      const auto drawn = static_cast<std::size_t>(pick(rng.engine()));
+      const auto drawn = static_cast<std::size_t>(rng.below(n));
       ++counts[rank_.empty() ? drawn : rank_[drawn]];
     }
     const std::size_t lo = (n - 1) / 2;
@@ -108,7 +101,8 @@ ConfidenceInterval interval_from(std::vector<double>& stats, double point,
 
 }  // namespace
 
-ConfidenceInterval bootstrap_median_ci(std::span<const double> values, Rng& rng,
+ConfidenceInterval bootstrap_median_ci(std::span<const double> values,
+                                       SplitMixRng& rng,
                                        const BootstrapOptions& opts) {
   BGPCMP_CHECK(!values.empty(), "bootstrap of an empty sample");
   check_options(opts);
@@ -124,7 +118,8 @@ ConfidenceInterval bootstrap_median_ci(std::span<const double> values, Rng& rng,
 }
 
 ConfidenceInterval bootstrap_median_diff_ci(std::span<const double> a,
-                                            std::span<const double> b, Rng& rng,
+                                            std::span<const double> b,
+                                            SplitMixRng& rng,
                                             const BootstrapOptions& opts) {
   BGPCMP_CHECK(!a.empty() && !b.empty(), "bootstrap difference needs both samples");
   check_options(opts);

@@ -53,20 +53,21 @@ std::uint64_t series_bytes_digest(const PopStudyResult& result) {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-// Golden values of Study 1 on the small world with short_study(), recorded
-// when run_pop_study still ran its own warm/plan/measure loop: the series
-// bytes, the Fig-1 quantiles at kQuantiles, the improvable fraction at
+// Golden values of Study 1 on the small world with short_study(): the
+// series bytes, the Fig-1 quantiles at kQuantiles, the improvable fraction at
 // kThresholds, and the streaming fingerprint at chunk_origins=16. Both
-// drivers must keep reproducing them.
+// drivers must keep reproducing them. Re-pinned when each window's bootstrap
+// CI moved onto its own SplitMixRng stream, which stopped the CI draws from
+// shifting the later windows' session samples.
 constexpr double kQuantiles[] = {0.05, 0.25, 0.5, 0.75, 0.95};
 constexpr double kThresholds[] = {0.0, 2.0, 5.0};
-constexpr std::uint64_t kSeriesDigest = 0xd05b26b33ea565f7ULL;
+constexpr std::uint64_t kSeriesDigest = 0x17772ea72de32131ULL;
 constexpr std::uint64_t kQuantileBits[] = {
-    0xc030a1c740000000ULL, 0xbff322b600000000ULL, 0xbfd96a5000000000ULL,
-    0xbfaa5e0000000000ULL, 0x4040868340000000ULL};
+    0xc030a1c740000000ULL, 0xbff322b600000000ULL, 0xbfd88b7800000000ULL,
+    0xbfa3f40000000000ULL, 0x4040669b80000000ULL};
 constexpr std::uint64_t kImprovableBits[] = {
-    0x3fcd05c62c1a4bc9ULL, 0x3fb35d7b9435be6dULL, 0x3fafca2e15ea579eULL};
-constexpr std::uint64_t kScaleFingerprint16 = 0x35e4ec7a37e7c045ULL;
+    0x3fcdceb460a0f7ceULL, 0x3fb44415a555b6f8ULL, 0x3fafe13fcab94535ULL};
+constexpr std::uint64_t kScaleFingerprint16 = 0x4e5520af4df1d9fcULL;
 
 TEST(ScaleStudy, BitEqualToEagerStudy) {
   const auto cfg = test::small_scenario_config();

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "../testutil.h"
+#include "bgpcmp/bgp/propagation.h"
+#include "bgpcmp/core/pop_pair.h"
 #include "bgpcmp/exec/thread_pool.h"
 #include "bgpcmp/netbase/check.h"
 
@@ -175,6 +180,52 @@ TEST(PopStudy, RejectsTopKBelowTwo) {
     cfg.top_k_routes = k;
     ScopedCheckThrows guard;
     EXPECT_THROW((void)run_pop_study(test::small_scenario(), cfg), CheckError) << k;
+  }
+}
+
+TEST(PopStudy, PlanRejectsTopKBelowTwo) {
+  // plan_pop_pair is public and has direct callers besides run_pop_pairs, so
+  // it checks k itself: -1 used to mean "no limit", 0 and 1 planned nothing.
+  const auto& sc = test::small_scenario();
+  const auto& client = sc.clients.prefixes().front();
+  const auto table = bgp::compute_routes(sc.internet.graph, client.origin_as);
+  for (const int k : {-1, 0, 1}) {
+    ScopedCheckThrows guard;
+    EXPECT_THROW((void)plan_pop_pair(sc.internet.graph, sc.internet.city_db(),
+                                     sc.provider, client, 0, table, k),
+                 CheckError)
+        << k;
+  }
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(PopStudy, BootstrapSettingsNeverMoveSamples) {
+  // Each window's CI draws from its own stream, so the resample count moves
+  // only ci_lower/ci_upper: medians and volumes are bit-identical.
+  PopStudyConfig cfg = quick_config();
+  cfg.days = 0.25;
+  cfg.bootstrap.resamples = 60;
+  const auto base = run_pop_study(test::small_scenario(), cfg);
+  ASSERT_FALSE(base.series.empty());
+  for (const int resamples : {20, 200}) {
+    cfg.bootstrap.resamples = resamples;
+    const auto other = run_pop_study(test::small_scenario(), cfg);
+    ASSERT_EQ(other.series.size(), base.series.size());
+    for (std::size_t i = 0; i < base.series.size(); ++i) {
+      const auto& a = base.series[i];
+      const auto& b = other.series[i];
+      ASSERT_EQ(b.medians.size(), a.medians.size());
+      for (std::size_t r = 0; r < a.medians.size(); ++r) {
+        ASSERT_TRUE(same_bits(b.medians[r], a.medians[r]))
+            << "resamples=" << resamples << " series " << i << " route " << r;
+      }
+      ASSERT_TRUE(same_bits(b.volume, a.volume))
+          << "resamples=" << resamples << " series " << i;
+    }
   }
 }
 

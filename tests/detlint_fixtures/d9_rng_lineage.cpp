@@ -3,15 +3,24 @@
 // Draws inside parallel regions must come from substreams forked inside the
 // region; chunk-pure bodies must fork their root before drawing; fork labels
 // must be unique, separator-terminated, and loop-dependent. Deliberately NOT
-// compiled; the local Rng and parallel_for stand in for the real headers.
+// compiled; the local Rng, SplitMixRng and parallel_for stand in for the
+// real headers.
 #define BGPCMP_PURE_CHUNK
 
 namespace fixture_d9 {
+
+class SplitMixRng {
+ public:
+  explicit SplitMixRng(unsigned long seed);
+  unsigned long next();
+  unsigned long below(unsigned long n);
+};
 
 class Rng {
  public:
   explicit Rng(unsigned long seed);
   Rng fork(const char* label) const;
+  SplitMixRng fork_splitmix(const char* label) const;
   unsigned uniform_int(unsigned bound);
   double uniform();
 };
@@ -23,6 +32,7 @@ template <typename Body>
 void parallel_for(unsigned long n, Body body);
 
 inline unsigned draw_from(Rng& r, unsigned bound) { return r.uniform_int(bound); }
+inline unsigned long ci_draw_from(SplitMixRng& r, unsigned long n) { return r.below(n); }
 
 // -- chunk-pure bodies -------------------------------------------------------
 
@@ -50,6 +60,28 @@ inline unsigned chunk_forked(unsigned c) {
   return sub.uniform_int(100);
 }
 
+// The same hazards on a SplitMix stream: a raw draw on an unforked root, and
+// the root leaked one hop down through a non-const SplitMixRng&.
+BGPCMP_PURE_CHUNK
+inline unsigned long chunk_ci_raw_draw(unsigned c) {
+  SplitMixRng root{c};
+  return root.below(100);  // expect: D9
+}
+
+BGPCMP_PURE_CHUNK
+inline unsigned long chunk_ci_leaked_root(unsigned c) {
+  SplitMixRng root{c};
+  return ci_draw_from(root, 100);  // expect: D9
+}
+
+// Clean: the SplitMix stream is forked from the root with a chunk label.
+BGPCMP_PURE_CHUNK
+inline unsigned long chunk_ci_forked(unsigned c) {
+  Rng root{17};
+  SplitMixRng ci = root.fork_splitmix("ci-" + to_string(static_cast<int>(c)));
+  return ci.below(100);
+}
+
 // -- parallel regions --------------------------------------------------------
 
 // Draw on an Rng declared outside the region: draw order depends on thread
@@ -75,6 +107,28 @@ inline void region_forked(Rng& rng) {
   });
 }
 
+// A SplitMix stream declared outside the region, drawn directly and through
+// a callee.
+inline void region_ci_draw(SplitMixRng& ci) {
+  parallel_for(8, [&](unsigned long i) {
+    (void)ci.below(i + 1);  // expect: D9
+  });
+}
+
+inline void region_ci_leaked(SplitMixRng& ci) {
+  parallel_for(8, [&](unsigned long i) {
+    (void)ci_draw_from(ci, i + 1);  // expect: D9
+  });
+}
+
+// Clean: one SplitMix stream per item, forked inside the region.
+inline void region_ci_forked(const Rng& rng) {
+  parallel_for(8, [&](unsigned long i) {
+    SplitMixRng ci = rng.fork_splitmix("ci-" + to_string(static_cast<int>(i)));
+    (void)ci.below(9);
+  });
+}
+
 // -- fork-label hygiene ------------------------------------------------------
 
 // Identical labels on the same receiver yield identical substreams.
@@ -97,6 +151,14 @@ inline void loop_invariant(Rng& rng, int n) {
   for (int i = 0; i < n; ++i) {
     auto sub = rng.fork("fixed-tag");  // expect: D9
     (void)sub;
+  }
+}
+
+// The same for a SplitMix fork: every window would redraw one CI stream.
+inline void loop_invariant_ci(const Rng& rng, int n) {
+  for (int w = 0; w < n; ++w) {
+    SplitMixRng ci = rng.fork_splitmix("ci-pair");  // expect: D9
+    (void)ci.below(4);
   }
 }
 

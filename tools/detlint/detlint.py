@@ -21,7 +21,9 @@ Rules
   D3  Rng streams duplicated outside the plan/sample split: by-value Rng
       parameters and copy-initialization from an existing stream. Each copy
       replays the parent's draws, silently forking draw order; substreams
-      must come from Rng::fork(label).
+      must come from Rng::fork(label). Both engines count as Rng here and in
+      D9: Rng and SplitMixRng (whose streams come from
+      Rng::fork_splitmix(label)).
   D4  wall-clock / raw-randomness reach-through: a model translation unit
       whose include closure (through repo headers) pulls in <chrono>,
       <ctime>, <time.h>, <sys/time.h> or <random>. The Rng wrapper
@@ -167,17 +169,23 @@ SMART_PTR_VAR_RE = re.compile(
 
 # -- D8/D9/D10 regexes -------------------------------------------------------
 
-# Rng's draw methods are exactly the non-const surface of the class; fork()
-# and base_seed() are const, which is what makes "const Rng&" statically
-# incapable of drawing and the interprocedural D9 chase sound.
+# The stream types D3 and D9 track: the mt19937_64 wrapper and the SplitMix
+# engine of the bootstrap CI streams (both in netbase/rng.h).
+RNG_TYPE = r"(?:Rng|SplitMixRng)"
+# The draw methods are exactly the non-const surface of both classes (Rng's
+# samplers and engine(), SplitMixRng's next() and below()); fork(),
+# fork_splitmix() and base_seed() are const, which is what makes "const Rng&"
+# statically incapable of drawing and the interprocedural D9 chase sound.
 DRAW_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*"
     r"(uniform_int|uniform|chance|normal|lognormal|exponential|pareto|"
-    r"index|weighted_index|shuffle|engine)\s*\("
+    r"index|weighted_index|shuffle|engine|next|below)\s*\("
 )
-FORK_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*fork\s*\(")
-RNG_ROOT_RE = re.compile(r"\bRng\s+([A-Za-z_]\w*)\s*[{(]")
-RNG_REF_PARAM_RE = re.compile(r"(const\s+)?(?:[A-Za-z_]\w*\s*::\s*)*Rng\s*&\s*([A-Za-z_]\w*)")
+FORK_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*fork(?:_splitmix)?\s*\(")
+RNG_ROOT_RE = re.compile(r"\b" + RNG_TYPE + r"\s+([A-Za-z_]\w*)\s*[{(]")
+RNG_REF_PARAM_RE = re.compile(
+    r"(const\s+)?(?:[A-Za-z_]\w*\s*::\s*)*" + RNG_TYPE + r"\s*&\s*([A-Za-z_]\w*)"
+)
 LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(")
 # Dotted field-access chains (a.b, a->b.c ...) for the D8 codec model.
 PATH_RE = re.compile(r"\b([A-Za-z_]\w*)((?:\s*(?:\.|->)\s*[A-Za-z_]\w*)+)")
@@ -714,7 +722,7 @@ class SourceFile:
         for alias in aliases:
             for dm in re.finditer(r"\b" + re.escape(alias) + r"\b\s*[&*]{0,2}\s*(\w+)\s*[;,=({\[)]", text):
                 unordered.add(dm.group(1))
-        for dm in re.finditer(r"\bRng\s+(\w+)\s*[^(\w]", text):
+        for dm in re.finditer(r"\b" + RNG_TYPE + r"\s+(\w+)\s*[^(\w]", text):
             rngs.add(dm.group(1))
         self._registry = (unordered, rngs)
         return self._registry
@@ -923,7 +931,7 @@ def try_libclang_registry(sf, include_dirs):
             t = cur.type.get_canonical().spelling
             if UNORDERED_RE.search(t) and "*" not in t:
                 unordered.add(cur.spelling)
-            elif re.search(r"\bRng\b", t) and "&" not in t and "*" not in t:
+            elif re.search(r"\b" + RNG_TYPE + r"\b", t) and "&" not in t and "*" not in t:
                 rngs.add(cur.spelling)
         return unordered, rngs
     except Exception:  # missing bindings, missing libclang.so, parse error
@@ -1276,7 +1284,10 @@ class Analyzer:
     def check_d3(self, sf):
         _, rngs = self.context_registry(sf)
         text = sf.clean
-        for m in re.finditer(r"[(,]\s*(?:const\s+)?(?:bgpcmp\s*::\s*)?Rng\s+(\w+)\s*(?=[,)=])", text):
+        for m in re.finditer(
+            r"[(,]\s*(?:const\s+)?(?:bgpcmp\s*::\s*)?" + RNG_TYPE + r"\s+(\w+)\s*(?=[,)=])",
+            text,
+        ):
             self.report(
                 sf,
                 sf.line_of_offset(m.start(1)),
@@ -1284,7 +1295,7 @@ class Analyzer:
                 f"parameter '{m.group(1)}' takes Rng by value - the copy replays "
                 "the caller's draws; pass Rng& or fork a labelled substream",
             )
-        for m in re.finditer(r"\bRng\s+(\w+)\s*=\s*([^;]+);", text):
+        for m in re.finditer(r"\b" + RNG_TYPE + r"\s+(\w+)\s*=\s*([^;]+);", text):
             rhs = m.group(2).strip()
             if "(" in rhs or "{" in rhs:
                 continue  # fork(...) / Rng{seed}... are fresh streams
@@ -1295,7 +1306,7 @@ class Analyzer:
                 f"'{m.group(1)}' copy-initialized from '{rhs}' - copies replay "
                 "the parent stream; use .fork(label)",
             )
-        for m in re.finditer(r"\bRng\s+(\w+)\s*[({]\s*(\w+)\s*[)}]", text):
+        for m in re.finditer(r"\b" + RNG_TYPE + r"\s+(\w+)\s*[({]\s*(\w+)\s*[)}]", text):
             if m.group(2) in rngs:
                 self.report(
                     sf,
@@ -2371,7 +2382,7 @@ class Analyzer:
 
                 def declared_outside(name):
                     return not re.search(
-                        r"\bRng\s*&?\s+" + re.escape(name) + r"\b", region
+                        r"\b" + RNG_TYPE + r"\s*&?\s+" + re.escape(name) + r"\b", region
                     )
 
                 for m in DRAW_RE.finditer(region):
